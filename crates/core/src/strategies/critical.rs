@@ -13,8 +13,8 @@ use crate::metrics::ScatterMetrics;
 use crate::scatter::{PairTerm, ScatterValue};
 use crate::shared::SharedSlice;
 use md_neighbor::Csr;
-use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::sync::{Mutex, PoisonError};
 
 /// Parallel scatter with one global mutex around each pair's two updates.
 pub fn scatter_critical<V: ScatterValue>(
@@ -45,7 +45,9 @@ pub fn scatter_critical_metered<V: ScatterValue>(
             let mut acquisitions = 0u64;
             for &j in half.row(i) {
                 if let Some(t) = kernel(i, j as usize) {
-                    let _guard = lock.lock();
+                    // The lock guards `()`: a panic elsewhere cannot leave
+                    // it half-updated, so a poisoned lock is recovered.
+                    let _guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
                     acquisitions += 1;
                     // SAFETY: the global mutex serializes every access to the
                     // shared array; the mutex's acquire/release ordering

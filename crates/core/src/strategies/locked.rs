@@ -14,8 +14,8 @@ use crate::metrics::ScatterMetrics;
 use crate::scatter::{PairTerm, ScatterValue};
 use crate::shared::SharedSlice;
 use md_neighbor::Csr;
-use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::sync::{Mutex, PoisonError};
 
 /// Number of stripe locks. A power of two well above any realistic core
 /// count keeps the collision probability (two random atoms sharing a
@@ -62,9 +62,11 @@ pub fn scatter_locked_metered<V: ScatterValue>(
                         }
                     };
                     // Ascending acquisition order prevents deadlock; when
-                    // both endpoints share a stripe, one lock suffices.
-                    let _g1 = locks[lo].lock();
-                    let _g2 = (hi != lo).then(|| locks[hi].lock());
+                    // both endpoints share a stripe, one lock suffices. The
+                    // locks guard `()`, so a poisoned one is recovered.
+                    let lock = |k: usize| locks[k].lock().unwrap_or_else(PoisonError::into_inner);
+                    let _g1 = lock(lo);
+                    let _g2 = (hi != lo).then(|| lock(hi));
                     acquisitions += 1 + (hi != lo) as u64;
                     crossings += (hi != lo) as u64;
                     // SAFETY: every write to index k happens under the lock

@@ -18,8 +18,8 @@
 //! The decomposition is driven through a *control* protocol ([`msg::Msg`])
 //! over an abstract [`world::Transport`], while halo payloads flow over a
 //! direct peer mesh ([`mesh::PeerMesh`]) the driver brokers at boot. Both
-//! planes speak the same selectable wire [`codec::Codec`] — hex-f64 JSON
-//! or length-prefixed binary frames. Two backends:
+//! planes speak the same wire [`codec::Codec`]: length-prefixed,
+//! checksummed binary frames. Two backends:
 //!
 //! * [`world::MemTransport`] — *virtual ranks*: every shard lives in the
 //!   driver process, control messages are routed through the real wire

@@ -66,7 +66,6 @@ pub trait MeshProvider: Send {
 /// fully framed codec bytes.
 pub struct ChannelMesh {
     rank: usize,
-    codec: Codec,
     tx: Vec<Option<Sender<Vec<u8>>>>,
     rx: Vec<Option<Receiver<Vec<u8>>>>,
     bytes_sent: u64,
@@ -75,11 +74,10 @@ pub struct ChannelMesh {
 }
 
 /// Builds the fully wired mesh set for `n` virtual ranks.
-pub fn channel_mesh_set(n: usize, codec: Codec) -> Vec<ChannelMesh> {
+pub fn channel_mesh_set(n: usize) -> Vec<ChannelMesh> {
     let mut meshes: Vec<ChannelMesh> = (0..n)
         .map(|rank| ChannelMesh {
             rank,
-            codec,
             tx: (0..n).map(|_| None).collect(),
             rx: (0..n).map(|_| None).collect(),
             bytes_sent: 0,
@@ -111,7 +109,7 @@ impl PeerMesh for ChannelMesh {
             let tx = self.tx[t]
                 .as_ref()
                 .ok_or_else(|| format!("no peer link to rank {t}"))?;
-            let bytes = self.codec.encode(&msg);
+            let bytes = Codec::encode(&msg);
             self.bytes_sent += bytes.len() as u64;
             tx.send(bytes)
                 .map_err(|_| format!("peer {t} hung up (channel closed)"))?;
@@ -141,10 +139,8 @@ impl PeerMesh for ChannelMesh {
                 }
             };
             self.bytes_recv += bytes.len() as u64;
-            let (msg, used) = self
-                .codec
-                .decode(&bytes)
-                .map_err(|e| format!("bad peer frame from rank {s}: {e}"))?;
+            let (msg, used) =
+                Codec::decode(&bytes).map_err(|e| format!("bad peer frame from rank {s}: {e}"))?;
             if used != bytes.len() {
                 return Err(format!("peer frame from rank {s} has trailing bytes"));
             }
@@ -208,7 +204,6 @@ struct PeerLink {
 
 /// The process-backend mesh: one stream per unordered rank pair.
 pub struct SocketMesh {
-    codec: Codec,
     links: Vec<Option<PeerLink>>,
     bytes_sent: u64,
     bytes_recv: u64,
@@ -274,7 +269,7 @@ impl PeerMesh for SocketMesh {
             if self.links[t].is_none() {
                 return Err(format!("no peer link to rank {t}"));
             }
-            let bytes = self.codec.encode(&msg);
+            let bytes = Codec::encode(&msg);
             self.bytes_sent += bytes.len() as u64;
             pending.push((t, bytes, 0));
         }
@@ -354,9 +349,7 @@ impl PeerMesh for SocketMesh {
                 got.push(None);
                 continue;
             };
-            let (msg, used) = self
-                .codec
-                .decode(&link.inbox)
+            let (msg, used) = Codec::decode(&link.inbox)
                 .map_err(|e| format!("bad peer frame from rank {s}: {e}"))?;
             link.inbox.drain(..used);
             self.bytes_recv += used as u64;
@@ -380,21 +373,10 @@ pub fn peer_sock_path(dir: &str, rank: usize) -> PathBuf {
 /// The provider the `mdshard-worker` binary installs: binds a listener on
 /// `PeerListen`, dials lower ranks / accepts higher ranks on
 /// `PeerConnect`, identifying inbound streams by their `PeerHello`.
+#[derive(Default)]
 pub struct SocketMeshProvider {
-    codec: Codec,
     listener: Option<UnixListener>,
     dir: Option<String>,
-}
-
-impl SocketMeshProvider {
-    /// A provider speaking `codec` on every peer link.
-    pub fn new(codec: Codec) -> SocketMeshProvider {
-        SocketMeshProvider {
-            codec,
-            listener: None,
-            dir: None,
-        }
-    }
 }
 
 impl MeshProvider for SocketMeshProvider {
@@ -421,8 +403,7 @@ impl MeshProvider for SocketMeshProvider {
             let path = peer_sock_path(&dir, s);
             let mut stream = UnixStream::connect(&path)
                 .map_err(|e| format!("dial rank {s} at {}: {e}", path.display()))?;
-            self.codec
-                .write_msg(&mut stream, &Msg::PeerHello { rank: rank as u64 })
+            Codec::write_msg(&mut stream, &Msg::PeerHello { rank: rank as u64 })
                 .map_err(|e| format!("hello to rank {s}: {e}"))?;
             stream
                 .set_nonblocking(true)
@@ -442,10 +423,8 @@ impl MeshProvider for SocketMeshProvider {
                     stream
                         .set_nonblocking(false)
                         .map_err(|e| format!("peer stream blocking: {e}"))?;
-                    let hello = self
-                        .codec
-                        .read_msg(&mut stream)
-                        .map_err(|e| format!("peer hello: {e}"))?;
+                    let hello =
+                        Codec::read_msg(&mut stream).map_err(|e| format!("peer hello: {e}"))?;
                     let from = match hello {
                         Msg::PeerHello { rank: r } => r as usize,
                         other => return Err(format!("expected peer hello, got {other:?}")),
@@ -475,7 +454,6 @@ impl MeshProvider for SocketMeshProvider {
         }
         let _ = std::fs::remove_file(peer_sock_path(&dir, rank));
         Ok(Box::new(SocketMesh {
-            codec: self.codec,
             links,
             bytes_sent: 0,
             bytes_recv: 0,
@@ -508,7 +486,7 @@ mod tests {
 
     #[test]
     fn channel_mesh_routes_frames_between_ranks() {
-        let mut set = channel_mesh_set(3, Codec::Binary);
+        let mut set = channel_mesh_set(3);
         let mut m2 = set.pop().unwrap();
         let mut m1 = set.pop().unwrap();
         let mut m0 = set.pop().unwrap();
@@ -538,7 +516,7 @@ mod tests {
 
     #[test]
     fn empty_channel_is_a_phase_violation() {
-        let mut set = channel_mesh_set(2, Codec::Json);
+        let mut set = channel_mesh_set(2);
         let mut m0 = set.remove(0);
         assert!(m0.recv_peers().is_err());
     }
@@ -550,11 +528,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mdshard-mesh-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let dir_str = dir.to_string_lossy().into_owned();
-        let codec = Codec::Binary;
         let big: Vec<Vec3> = (0..40_000).map(|i| Vec3::new(i as f64, 0.5, -1.0)).collect();
-        let mk_provider = || SocketMeshProvider::new(codec);
-        let mut p0 = mk_provider();
-        let mut p1 = mk_provider();
+        let mut p0 = SocketMeshProvider::default();
+        let mut p1 = SocketMeshProvider::default();
         p0.listen(0, 2, &dir_str).unwrap();
         p1.listen(1, 2, &dir_str).unwrap();
         let d0 = dir_str.clone();

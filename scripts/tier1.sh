@@ -40,15 +40,12 @@
 #      metered mdrun of taskgraph-vs-barriered SDC on the carved-void case
 #      with every physics counter matching exactly — only the scheduling
 #      regime, and therefore the scatter.* counters, may differ)
-#  11. shard gate                 (the peer-mesh halo-exchange: the
-#      conformance battery over both codecs plus the codec-generic fuzz
-#      and the SIGKILL/resume chaos test — both run the JSON and binary
-#      codecs — under RAYON_NUM_THREADS=2 and =4, then two A/B metered
-#      mdruns: a 2-shard process-backend run against the unsharded
-#      engine, and the same sharded case binary-vs-json — the physics
-#      counters must match exactly in both; slabbing may only change
-#      where the work runs, and the codec may only change how the bytes
-#      are spelled)
+#  11. shard gate                 (the peer-mesh halo-exchange over binary
+#      wire frames: the conformance battery, the wire-codec fuzz and the
+#      SIGKILL/resume chaos test under RAYON_NUM_THREADS=2 and =4, then an
+#      A/B metered mdrun of a 2-shard process-backend run against the
+#      unsharded engine — the physics counters must match exactly;
+#      slabbing may only change where the work runs)
 #  12. SIMD gate                  (the lane-batched fused EAM kernels: the
 #      conformance battery under RAYON_NUM_THREADS=2 and =4, the same
 #      battery in release so the silent `UniformSpline::locate` clamp is
@@ -170,9 +167,9 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$sdc" "$tg" --ab --tol 1.0 --time-tol 50
 rm -f "$sdc" "$tg"
 
-echo "==> [11/12] shard gate (conformance battery + codec fuzz + chaos + A/B legs)"
-# The conformance battery, the codec-generic fuzz, and the SIGKILL/resume
-# chaos test each cover both the JSON and the binary codec internally.
+echo "==> [11/12] shard gate (conformance battery + codec fuzz + chaos + A/B leg)"
+# The conformance battery, the wire-codec fuzz and the SIGKILL/resume
+# chaos test all run the one binary wire codec.
 for t in 2 4; do
   echo "    shard battery, RAYON_NUM_THREADS=$t"
   RAYON_NUM_THREADS="$t" cargo test -q --test shard_conformance
@@ -182,7 +179,6 @@ done
 cargo build -q --release -p md-shard
 flat="$(mktemp /tmp/tier1_flat.XXXXXX.json)"
 shrd="$(mktemp /tmp/tier1_shard.XXXXXX.json)"
-shbn="$(mktemp /tmp/tier1_shard_bin.XXXXXX.json)"
 cargo run -q -p sdc-bench --release --bin mdrun -- \
   --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
   --metrics-out "$flat" > /dev/null
@@ -194,17 +190,7 @@ cargo run -q -p sdc-bench --release --bin mdrun -- \
 # different regime, not a regression signal.
 cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$flat" "$shrd" --ab --tol 1.0 --time-tol 500
-echo "    binary-codec leg (process backend, binary vs json)"
-cargo run -q -p sdc-bench --release --bin mdrun -- \
-  --cells 9 --strategy sdc2d --threads 2 --steps 20 --report 20 \
-  --shards 2 --shard-backend process --shard-codec binary \
-  --metrics-out "$shbn" > /dev/null
-# Same strategy, same shards: strict (non-A/B) diff. Every counter —
-# physics spans, scatter bookkeeping, ghost/migration traffic — must be
-# identical; only the wire volume and timings may move, and only down.
-cargo run -q -p sdc-bench --release --bin metrics_diff -- \
-  "$shrd" "$shbn" --tol 1.0 --time-tol 500
-rm -f "$flat" "$shrd" "$shbn"
+rm -f "$flat" "$shrd"
 
 echo "==> [12/12] SIMD gate (conformance battery + scalar-fallback leg + A/B vs scalar fused)"
 for t in 2 4; do
