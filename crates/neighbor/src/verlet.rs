@@ -18,10 +18,11 @@
 //!   *Redundant Computation* (RC) baseline.
 
 use crate::cell_grid::CellGrid;
-use crate::csr::{Csr, PAR_MIN_CHUNK};
+use crate::csr::Csr;
 use crate::stats::NeighborStats;
 use md_geometry::{SimBox, Vec3};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Whether each pair is stored once (half) or twice (full).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,6 +82,14 @@ impl VerletConfig {
             self.skin
         );
     }
+
+    /// [`VerletConfig::validate`] plus the box's minimum-image check.
+    fn validate_for(&self, sim_box: &SimBox) {
+        self.validate();
+        sim_box
+            .validate_cutoff(self.reach())
+            .expect("box too small for cutoff + skin");
+    }
 }
 
 /// A built Verlet neighbor list in CSR form.
@@ -113,70 +122,38 @@ impl NeighborList {
     /// every periodic box edge must be at least `2 · (cutoff + skin)` so the
     /// minimum-image convention resolves each pair to a unique image.
     ///
+    /// Runs the per-cell row kernel over the cells in order (see
+    /// [`NeighborList::build_parallel`] for how a row is made); every row
+    /// comes out sorted ascending.
+    ///
     /// # Panics
     /// Panics on invalid config or if the box is too small for the reach.
     pub fn build(sim_box: &SimBox, positions: &[Vec3], config: VerletConfig) -> NeighborList {
-        config.validate();
-        sim_box
-            .validate_cutoff(config.reach())
-            .expect("box too small for cutoff + skin");
-        let reach_sq = config.reach() * config.reach();
+        config.validate_for(sim_box);
         let grid = CellGrid::build(sim_box, positions, config.reach());
-
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(positions.len() * 16);
-        for c in 0..grid.cell_count() {
-            let atoms_c = grid.cell_atoms(c);
-            if atoms_c.is_empty() {
-                continue;
-            }
-            for nc in grid.stencil(c) {
-                // Visit each unordered cell pair once (self-pairs allowed).
-                if nc < c {
-                    continue;
-                }
-                let atoms_n = grid.cell_atoms(nc);
-                for &ia in atoms_c {
-                    for &ja in atoms_n {
-                        // Within the same cell, take each atom pair once.
-                        if nc == c && ja <= ia {
-                            continue;
-                        }
-                        let (i, j) = if ia < ja { (ia, ja) } else { (ja, ia) };
-                        let d = sim_box.min_image(positions[i as usize], positions[j as usize]);
-                        if d.norm_sq() < reach_sq {
-                            pairs.push((i, j));
-                        }
-                    }
-                }
-            }
-        }
-
-        let csr = assemble(positions.len(), &pairs, config.kind);
-        NeighborList {
-            config,
-            csr,
-            ref_positions: positions.to_vec(),
-        }
+        let cells = cell_rows(&grid, sim_box, positions, config, 0..grid.cell_count());
+        NeighborList::from_cells(&grid, &[cells], positions, config)
     }
 
-    /// [`NeighborList::build`] with rayon-parallel binning and pair
-    /// generation, **bitwise-identical** to the serial build (same `offsets`,
-    /// same `indices`) for every thread count.
+    /// [`NeighborList::build`] with the cells spread over the current rayon
+    /// pool, **bitwise-identical** to it (same `offsets`, same `indices`) at
+    /// every thread count.
     ///
-    /// Works per cell: each rayon task owns one cell and emits, for every
-    /// atom `i` in it, atom `i`'s complete neighbor row — `{j > i}` for the
-    /// half list, `{j ≠ i}` for the full list — sorted ascending. Row
-    /// contents are *sets* selected by a symmetric predicate (minimum-image
-    /// distance, evaluated in canonical `(min, max)` index order so both
-    /// sides of a pair see the exact same floating-point value), so neither
-    /// the cell schedule nor the thread count can change a row; the CSR
-    /// offsets are prefix sums of row lengths and inherit that invariance.
-    /// The serial build stores the same sets sorted ascending, hence
-    /// byte-for-byte equality.
+    /// Both builders share one per-cell row kernel. For cell `c` it merges
+    /// the atom lists of `c`'s stencil cells — each ascending, because
+    /// binning is a stable counting sort — into one candidate list sorted
+    /// by id, with the candidate positions gathered alongside. Each atom
+    /// `i` of `c` is itself a candidate, so its row is a masked scan of a
+    /// contiguous range: the suffix after `i` for the half list, every
+    /// candidate but `i` for the full one. The accept test is
+    /// `min_image(pos[min(i, j)], pos[max(i, j)]).norm_sq() < reach²`, the
+    /// brute-force reference's comparison; the candidates ascend, so the
+    /// accepted ids do too, and no row is sorted. A cell's rows depend on
+    /// nothing but the cell, and one prefix sum over the row lengths then
+    /// places them in the CSR, so the schedule cannot change a byte.
     ///
     /// Runs on the current rayon pool — call inside `ThreadPool::install`.
-    /// On a one-worker pool or a small system it delegates to the serial
-    /// builder outright.
+    /// Each worker takes one run of consecutive cells.
     ///
     /// # Panics
     /// As [`NeighborList::build`].
@@ -185,89 +162,51 @@ impl NeighborList {
         positions: &[Vec3],
         config: VerletConfig,
     ) -> NeighborList {
-        config.validate();
-        sim_box
-            .validate_cutoff(config.reach())
-            .expect("box too small for cutoff + skin");
-        if rayon::current_num_threads() <= 1 || positions.len() < PAR_MIN_CHUNK {
-            return NeighborList::build(sim_box, positions, config);
-        }
-        let reach_sq = config.reach() * config.reach();
+        config.validate_for(sim_box);
         let grid = CellGrid::build_parallel(sim_box, positions, config.reach());
-        let n = positions.len();
-        let n_cells = grid.cell_count();
-        let half = config.kind == NeighborListKind::Half;
-
-        // One task per cell: gather the rows of the cell's own atoms. The
-        // stencil is computed once per cell and its atom slices stay hot in
-        // cache across the cell's atoms (same locality the serial cell-pair
-        // walk enjoys).
-        let per_cell: Vec<Vec<(u32, Vec<u32>)>> = (0..n_cells)
+        let (cells, workers) = (grid.cell_count(), rayon::current_num_threads());
+        let runs: Vec<Vec<CellRows>> = (0..workers)
             .into_par_iter()
-            .map(|c| {
-                let atoms_c = grid.cell_atoms(c);
-                if atoms_c.is_empty() {
-                    return Vec::new();
-                }
-                let stencil = grid.stencil(c);
-                let mut out = Vec::with_capacity(atoms_c.len());
-                for &ia in atoms_c {
-                    let mut row: Vec<u32> = Vec::with_capacity(32);
-                    for &nc in &stencil {
-                        for &ja in grid.cell_atoms(nc) {
-                            let skip = if half { ja <= ia } else { ja == ia };
-                            if skip {
-                                continue;
-                            }
-                            // Canonical order: the serial build evaluates
-                            // every pair as (min, max); do the same so the
-                            // accept/reject decision is the identical FP
-                            // comparison.
-                            let (a, b) = if ia < ja { (ia, ja) } else { (ja, ia) };
-                            let d = sim_box
-                                .min_image(positions[a as usize], positions[b as usize]);
-                            if d.norm_sq() < reach_sq {
-                                row.push(ja);
-                            }
-                        }
-                    }
-                    row.sort_unstable();
-                    out.push((ia, row));
-                }
-                out
+            .map(|w| {
+                let run = w * cells / workers..(w + 1) * cells / workers;
+                cell_rows(&grid, sim_box, positions, config, run)
             })
             .collect();
+        NeighborList::from_cells(&grid, &runs, positions, config)
+    }
 
-        // Re-index rows by atom id (cells partition the atoms, so this
-        // moves each row exactly once), then assemble the CSR with one
-        // prefix sum and a parallel per-row copy into disjoint slices.
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for cell_rows in per_cell {
-            for (ia, row) in cell_rows {
-                rows[ia as usize] = row;
+    /// Places the per-cell rows (`runs` holds consecutive runs of cells) in
+    /// one CSR: a prefix sum over the row lengths gives the offsets, then
+    /// each row is copied to its slot.
+    fn from_cells(
+        grid: &CellGrid,
+        runs: &[Vec<CellRows>],
+        positions: &[Vec3],
+        config: VerletConfig,
+    ) -> NeighborList {
+        let n = positions.len();
+        let mut offsets = vec![0u32; n + 1];
+        for (c, cell) in runs.iter().flatten().enumerate() {
+            for (&i, &len) in grid.cell_atoms(c).iter().zip(&cell.lens) {
+                offsets[i as usize + 1] = len;
             }
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total = 0u32;
-        offsets.push(0u32);
-        for r in &rows {
-            total = total
-                .checked_add(r.len() as u32)
+        for i in 0..n {
+            offsets[i + 1] = offsets[i]
+                .checked_add(offsets[i + 1])
                 .expect("CSR entry count overflows u32");
-            offsets.push(total);
         }
-        let mut indices = vec![0u32; total as usize];
-        let mut slices: Vec<&mut [u32]> = Vec::with_capacity(n);
-        let mut rest = indices.as_mut_slice();
-        for r in &rows {
-            let (head, tail) = rest.split_at_mut(r.len());
-            slices.push(head);
-            rest = tail;
+        let mut indices = vec![0u32; offsets[n] as usize];
+        for (c, cell) in runs.iter().flatten().enumerate() {
+            let mut rows = &cell.indices[..];
+            for &i in grid.cell_atoms(c) {
+                let i = i as usize;
+                let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
+                let (row, rest) = rows.split_at(hi - lo);
+                indices[lo..hi].copy_from_slice(row);
+                rows = rest;
+            }
         }
-        slices
-            .into_par_iter()
-            .zip(rows.par_iter())
-            .for_each(|(dst, src)| dst.copy_from_slice(src));
         NeighborList {
             config,
             csr: Csr::from_raw(offsets, indices),
@@ -283,15 +222,20 @@ impl NeighborList {
     ) -> NeighborList {
         config.validate();
         let reach_sq = config.reach() * config.reach();
+        let full = config.kind == NeighborListKind::Full;
         let mut pairs = Vec::new();
-        for i in 0..positions.len() {
-            for j in (i + 1)..positions.len() {
-                if sim_box.distance_sq(positions[i], positions[j]) < reach_sq {
-                    pairs.push((i as u32, j as u32));
+        for i in 0..positions.len() as u32 {
+            for j in (i + 1)..positions.len() as u32 {
+                if sim_box.distance_sq(positions[i as usize], positions[j as usize]) < reach_sq {
+                    pairs.push((i, j));
+                    if full {
+                        pairs.push((j, i));
+                    }
                 }
             }
         }
-        let csr = assemble(positions.len(), &pairs, config.kind);
+        let mut csr = Csr::from_pairs(positions.len(), &pairs);
+        csr.sort_rows();
         NeighborList {
             config,
             csr,
@@ -404,24 +348,92 @@ impl NeighborList {
     }
 }
 
-fn assemble(n: usize, half_pairs: &[(u32, u32)], kind: NeighborListKind) -> Csr {
-    match kind {
-        NeighborListKind::Half => {
-            let mut csr = Csr::from_pairs(n, half_pairs);
-            csr.sort_rows();
-            csr
-        }
-        NeighborListKind::Full => {
-            let mut both = Vec::with_capacity(half_pairs.len() * 2);
-            for &(i, j) in half_pairs {
-                both.push((i, j));
-                both.push((j, i));
+/// The rows of one cell's atoms, back to back in the cell's (ascending)
+/// atom order, and each row's length; both sized exactly.
+struct CellRows {
+    indices: Box<[u32]>,
+    lens: Box<[u32]>,
+}
+
+/// The row kernel both builders run, over a run of consecutive cells
+/// (described at [`NeighborList::build_parallel`]). The candidate and row
+/// scratch is reused from cell to cell.
+fn cell_rows(
+    grid: &CellGrid,
+    sim_box: &SimBox,
+    positions: &[Vec3],
+    config: VerletConfig,
+    cells: Range<usize>,
+) -> Vec<CellRows> {
+    let reach_sq = config.reach() * config.reach();
+    let (mut ids, mut pos, mut row, mut rows) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    cells
+        .map(|c| {
+            let own = grid.cell_atoms(c);
+            ids.clear();
+            for nc in grid.stencil(c) {
+                ids.extend_from_slice(grid.cell_atoms(nc));
             }
-            let mut csr = Csr::from_pairs(n, &both);
-            csr.sort_rows();
-            csr
-        }
+            ids.sort_unstable();
+            pos.clear();
+            pos.extend(ids.iter().map(|&j| positions[j as usize]));
+            row.resize(ids.len(), 0);
+            rows.clear();
+            let mut at = 0;
+            let lens = own
+                .iter()
+                .map(|&i| {
+                    // `own` ascends and is a subsequence of `ids` (a cell is
+                    // in its own stencil), so one forward cursor finds every
+                    // owned atom.
+                    while ids[at] != i {
+                        at += 1;
+                    }
+                    let xi = positions[i as usize];
+                    let mut len = 0;
+                    if config.kind == NeighborListKind::Full {
+                        len = accept(&mut row, len, &ids[..at], &pos[..at], reach_sq, |xj| {
+                            sim_box.min_image(xj, xi)
+                        });
+                    }
+                    len = accept(
+                        &mut row,
+                        len,
+                        &ids[at + 1..],
+                        &pos[at + 1..],
+                        reach_sq,
+                        |xj| sim_box.min_image(xi, xj),
+                    );
+                    rows.extend_from_slice(&row[..len]);
+                    len as u32
+                })
+                .collect();
+            CellRows {
+                indices: rows.as_slice().into(),
+                lens,
+            }
+        })
+        .collect()
+}
+
+/// Appends to `row[..len]` every id whose displacement `d(pos)` lies
+/// within the reach, in candidate order, and returns the new length. The
+/// accept test is a mask, not a branch: each id is written, and the cursor
+/// advances only if it is accepted.
+#[inline(always)]
+fn accept(
+    row: &mut [u32],
+    mut len: usize,
+    ids: &[u32],
+    pos: &[Vec3],
+    reach_sq: f64,
+    d: impl Fn(Vec3) -> Vec3,
+) -> usize {
+    for (&j, &xj) in ids.iter().zip(pos) {
+        row[len] = j;
+        len += usize::from(d(xj).norm_sq() < reach_sq);
     }
+    len
 }
 
 #[cfg(test)]
@@ -431,23 +443,13 @@ mod tests {
 
     const FE_CUTOFF: f64 = 5.67;
 
-    fn pair_set(nl: &NeighborList) -> Vec<(u32, u32)> {
-        let mut v: Vec<(u32, u32)> = nl
-            .csr()
-            .iter_rows()
-            .flat_map(|(i, r)| r.iter().map(move |&j| (i as u32, j)))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     #[test]
     fn cell_build_matches_brute_force_half() {
         let (bx, pos) = LatticeSpec::bcc_fe(5).build();
         let cfg = VerletConfig::half(FE_CUTOFF, 0.3);
         let fast = NeighborList::build(&bx, &pos, cfg);
         let slow = NeighborList::build_brute_force(&bx, &pos, cfg);
-        assert_eq!(pair_set(&fast), pair_set(&slow));
+        assert_eq!(fast.csr(), slow.csr());
     }
 
     #[test]
@@ -456,13 +458,11 @@ mod tests {
         let cfg = VerletConfig::full(FE_CUTOFF, 0.0);
         let fast = NeighborList::build(&bx, &pos, cfg);
         let slow = NeighborList::build_brute_force(&bx, &pos, cfg);
-        assert_eq!(pair_set(&fast), pair_set(&slow));
+        assert_eq!(fast.csr(), slow.csr());
     }
 
     #[test]
     fn parallel_build_is_bitwise_identical_to_serial() {
-        // bcc_fe(9) = 1458 atoms > PAR_MIN_CHUNK, so the parallel path
-        // actually runs instead of delegating to the serial builder.
         let (bx, pos) = LatticeSpec::bcc_fe(9).build();
         for threads in [2usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -482,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_small_system_delegates_to_serial() {
+    fn parallel_build_on_a_small_system_matches_serial() {
         let (bx, pos) = LatticeSpec::bcc_fe(5).build();
         let cfg = VerletConfig::half(FE_CUTOFF, 0.3);
         let serial = NeighborList::build(&bx, &pos, cfg);
@@ -524,7 +524,7 @@ mod tests {
         let (bx, pos) = LatticeSpec::bcc_fe(5).build();
         let half = NeighborList::build(&bx, &pos, VerletConfig::half(FE_CUTOFF, 0.1));
         let full = NeighborList::build(&bx, &pos, VerletConfig::full(FE_CUTOFF, 0.1));
-        assert_eq!(pair_set(&half.to_full()), pair_set(&full));
+        assert_eq!(half.to_full().csr(), full.csr());
     }
 
     #[test]

@@ -83,12 +83,18 @@ pub struct MachineParams {
     /// map plus a counting-sort pass).
     pub bin_cost: f64,
     /// Neighbor rebuild: cost of *examining* one candidate pair in the
-    /// stencil walk (distance check; cheaper than `pair_cost`, which also
-    /// evaluates the potential kernel).
+    /// row kernel's masked scan (distance test and compaction; cheaper than
+    /// `pair_cost`, which also evaluates the potential kernel). Default is
+    /// `pair_cost / 5`, the measured ratio on 35,152-atom bcc Fe: 6.3 ns
+    /// per candidate for the 1-worker build against 31.4 ns per stored
+    /// half-pair and sweep for the serial engine (EXPERIMENTS.md
+    /// §neighbor_build).
     pub pair_gen_cost: f64,
-    /// Neighbor rebuild: candidate pairs examined per stored half-pair. For
-    /// a 27-cell stencil with `cell ≈ r_c` this is the ratio of the stencil
-    /// volume to the cutoff-sphere volume, ≈ 27/(4π/3) ≈ 6.4.
+    /// Neighbor rebuild: candidate pairs examined per stored half-pair.
+    /// Each atom scans the candidates of its 27-cell stencil with a larger
+    /// id, about half the stencil. Measured, not the volume ratio: at 26³
+    /// bcc Fe with 6.21 Å cells and a 5.97 Å reach the suffix scans visit
+    /// 9,637,056 candidates for 1,124,864 stored half-pairs, 8.57 each.
     pub candidate_ratio: f64,
     /// Steps between list rebuilds (skin-triggered; ≈ 10 for the paper's
     /// 0.3 Å skin at melt temperatures).
@@ -122,8 +128,8 @@ impl Default for MachineParams {
             cores_per_socket: 4,
             numa_penalty: 0.0,
             bin_cost: 5e-9,
-            pair_gen_cost: 25e-9,
-            candidate_ratio: 6.4,
+            pair_gen_cost: 12e-9,
+            candidate_ratio: 8.57,
             rebuild_every: 10.0,
             rebuild_barriers: 3.0,
         }
@@ -139,10 +145,11 @@ impl MachineParams {
         );
         MachineParams {
             pair_cost,
-            // Keep the measured fused/reference and SIMD/fused ratios of
-            // the defaults.
+            // Keep the measured fused/reference, SIMD/fused and
+            // candidate/pair ratios of the defaults.
             fused_pair_cost: pair_cost * 0.8,
             simd_pair_cost: pair_cost * 0.8 / 1.2,
+            pair_gen_cost: pair_cost / 5.0,
             ..MachineParams::default()
         }
     }

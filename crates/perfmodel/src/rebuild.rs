@@ -2,12 +2,12 @@
 //!
 //! The base model ([`crate::predict_seconds`]) covers the paper's *timed*
 //! phases — the density and force sweeps. A real trajectory also pays for
-//! periodic neighbor-list rebuilds (binning + stencil pair generation),
+//! periodic neighbor-list rebuilds (binning + the per-cell row kernel),
 //! amortized over `rebuild_every` steps. With a **serial** rebuild this is a
 //! classic Amdahl term: it caps 2-D SDC's 16-thread speedup on the large
-//! cases well below the sweep-only number. The rayon-parallel rebuild
-//! (`md_neighbor::NeighborList::build_parallel`) removes that cap — which is
-//! exactly what these functions quantify.
+//! cases below the sweep-only number. Running the same kernel over the
+//! cells on a pool (`md_neighbor::NeighborList::build_parallel`) removes
+//! that cap — which is exactly what these functions quantify.
 
 use crate::case::CaseGeometry;
 use crate::machine::MachineParams;
@@ -15,13 +15,16 @@ use crate::model::predict_seconds;
 use sdc_core::StrategyKind;
 
 /// Predicted seconds for **one** neighbor-list rebuild (cell binning plus
-/// stencil pair generation), serial or on `threads` workers.
+/// the per-cell row kernel), serial or on `threads` workers.
 ///
-/// Serial: `N·c_bin + pairs·κ_cand·c_gen`. Parallel: the same work divided
-/// by `P` under the shared-bandwidth overhead, plus the rebuild's fork-join
-/// barriers — both phases of the deterministic parallel build (chunked
-/// counting sort, per-cell row generation) scale this way because every
-/// write window is private.
+/// Serial: `N·c_bin + pairs·κ_cand·c_gen`, where `κ_cand` candidates are
+/// scanned per stored half-pair (the suffix of each atom's id-sorted
+/// stencil candidates). Parallel: the same work divided by `P` under the
+/// shared-bandwidth overhead, plus the rebuild's fork-join barriers — the
+/// chunked counting sort and the row kernel both write only private
+/// buffers. The serial placement of the rows into the CSR (one copy of
+/// the list) is left out; EXPERIMENTS.md §neighbor_build sets predicted
+/// next to measured times.
 pub fn rebuild_seconds(
     m: &MachineParams,
     case: &CaseGeometry,

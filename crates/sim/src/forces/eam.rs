@@ -278,14 +278,17 @@ impl ForceEngine {
         // a strategy whose sweep hands out NO_SLOT, where a precomputed
         // record would never be read back.
         let simd = self.simd() && strategy.provides_slots();
-        if simd && self.clusters_mut().is_none() {
-            let cl = ClusterList::build(self.neighbor_list().csr(), DEFAULT_CLUSTER_M);
-            *self.clusters_mut() = Some(cl);
-        }
-        let clusters = self.clusters_mut().take();
         // Timers and scratch are detached so `exec` (borrowing `self`) can
         // coexist with both.
         let mut timers = std::mem::take(self.timers_mut());
+        if simd && self.clusters_mut().is_none() {
+            // Grouping the fresh list's rows is list-building work.
+            let cl = timers.time(Phase::Neighbor, || {
+                ClusterList::build(self.neighbor_list().csr(), DEFAULT_CLUSTER_M)
+            });
+            *self.clusters_mut() = Some(cl);
+        }
+        let clusters = self.clusters_mut().take();
         let mut scratch = std::mem::take(self.scratch_mut());
         if scratch.len() != entries {
             scratch.clear();

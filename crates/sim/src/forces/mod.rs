@@ -31,6 +31,7 @@ use sdc_core::{
     ScatterExec, SdcPlan, StrategyKind, TaskGraph, TaskGraphRunner,
 };
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The potential driving the forces.
 #[derive(Clone)]
@@ -665,55 +666,39 @@ impl ForceEngine {
         self.calibrate_balance();
         let verlet = self.verlet;
         let mut strategy = self.strategy;
-        let threads = self.ctx.threads();
-        let parallel_list = self.parallel_list;
-        let mut events = Vec::new();
-        let metrics = self.metrics.clone();
-        let ForceEngine {
-            ref ctx,
-            ref mut timers,
-            ..
-        } = *self;
-        let ((half, full, plan, localwrite), took) = timers.time_measured(Phase::Neighbor, || {
-            let half = build_half_list(ctx, parallel_list, system, verlet);
-            let plan = loop {
-                let Some(dims) = strategy.plan_dims() else {
-                    break None;
-                };
-                match SdcPlan::build(
-                    system.sim_box(),
-                    system.positions(),
-                    DecompositionConfig::new(dims, verlet.reach()),
-                ) {
-                    Ok(p) => break Some(p),
-                    Err(err) => {
-                        let next = strategy
-                            .downgrade()
-                            .expect("every plan-backed strategy has a downgrade");
-                        events.push(DowngradeEvent {
-                            from: strategy,
-                            to: next,
-                            reason: err.to_string(),
-                        });
-                        strategy = next;
-                    }
-                }
+        // One `Phase::Neighbor` span covers the whole rebuild: list, plan,
+        // balancer pass and task graph.
+        let start = Instant::now();
+        let half = build_half_list(&self.ctx, self.parallel_list, system, verlet);
+        self.plan = loop {
+            let Some(dims) = strategy.plan_dims() else {
+                break None;
             };
-            let full = strategy.needs_full_list().then(|| half.to_full());
-            let localwrite = strategy
-                .needs_localwrite_plan()
-                .then(|| LocalWritePlan::build(half.csr(), localwrite_partitions(threads)));
-            (half, full, plan, localwrite)
+            match SdcPlan::build(
+                system.sim_box(),
+                system.positions(),
+                DecompositionConfig::new(dims, verlet.reach()),
+            ) {
+                Ok(p) => break Some(p),
+                Err(err) => {
+                    let next = strategy
+                        .downgrade()
+                        .expect("every plan-backed strategy has a downgrade");
+                    self.downgrades.push(DowngradeEvent {
+                        from: strategy,
+                        to: next,
+                        reason: err.to_string(),
+                    });
+                    strategy = next;
+                }
+            }
+        };
+        self.full = strategy.needs_full_list().then(|| half.to_full());
+        self.localwrite = strategy.needs_localwrite_plan().then(|| {
+            LocalWritePlan::build(half.csr(), localwrite_partitions(self.ctx.threads()))
         });
-        if let Some(m) = &metrics {
-            m.rebuild.record(took);
-        }
         self.strategy = strategy;
-        self.downgrades.extend(events);
         self.half = half;
-        self.full = full;
-        self.plan = plan;
-        self.localwrite = localwrite;
         // The cluster grouping indexes the outgoing list's slot spans; the
         // SIMD density pass rebuilds it lazily from the fresh list.
         self.clusters = None;
@@ -722,6 +707,11 @@ impl ForceEngine {
         // bring the task graph in line with whatever plan survived.
         self.apply_balance(system);
         self.sync_taskgraph(system);
+        let took = start.elapsed();
+        self.timers.add(Phase::Neighbor, took);
+        if let Some(m) = &self.metrics {
+            m.rebuild.record(took);
+        }
     }
 
     /// Re-derives the dependency graph from the current plan when the

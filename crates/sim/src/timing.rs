@@ -60,20 +60,10 @@ impl PhaseTimers {
     /// Times `f` and charges it to `phase`.
     #[inline]
     pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        self.time_measured(phase, f).0
-    }
-
-    /// Times `f`, charges it to `phase`, and also hands the measured
-    /// duration back — so callers can feed the same measurement into a
-    /// second sink (e.g. a [`crate::metrics::SimMetrics`] histogram)
-    /// without paying for a second clock read.
-    #[inline]
-    pub fn time_measured<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> (R, Duration) {
         let start = Instant::now();
         let out = f();
-        let took = start.elapsed();
-        self.add(phase, took);
-        (out, took)
+        self.add(phase, start.elapsed());
+        out
     }
 
     /// Adds an externally measured duration to `phase`.
@@ -140,18 +130,6 @@ impl std::fmt::Display for PhaseTimers {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_measured_returns_result_and_duration() {
-        let mut t = PhaseTimers::new();
-        let (x, took) = t.time_measured(Phase::Neighbor, || {
-            std::thread::sleep(Duration::from_millis(1));
-            7
-        });
-        assert_eq!(x, 7);
-        assert!(took >= Duration::from_millis(1));
-        assert_eq!(t.elapsed(Phase::Neighbor), took);
-    }
 
     #[test]
     fn time_charges_the_right_phase() {

@@ -14,7 +14,10 @@
 #      silently turn them off)
 #   5. thread-matrix test job     (re-runs the determinism-sensitive crates
 #      under RAYON_NUM_THREADS=2 and =4, so the global-pool default thread
-#      count cannot mask a parallel neighbor-build or scatter divergence)
+#      count cannot mask a parallel neighbor-build or scatter divergence;
+#      then smoke-runs the neighbor_build bench in release, whose setup
+#      asserts that 1- and 2-worker list builds of the 35,152-atom
+#      reference box give the same CSR)
 #   6. metrics regression gate    (short metered mdrun, diffed against the
 #      checked-in golden report; counters must match, timings may only
 #      grow within a deliberately generous tolerance)
@@ -74,6 +77,8 @@ for t in 2 4; do
   echo "    RAYON_NUM_THREADS=$t"
   RAYON_NUM_THREADS="$t" cargo test -q -p md-neighbor -p sdc-core -p sdc-md
 done
+echo "    neighbor_build bench, one run each (release)"
+cargo test --release -q -p sdc-bench --bench neighbor_build
 
 echo "==> [6/12] metrics regression gate"
 report="$(mktemp /tmp/tier1_metrics.XXXXXX.json)"

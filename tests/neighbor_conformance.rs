@@ -1,12 +1,15 @@
-//! Cross-build conformance suite for the parallel neighbor-list pipeline.
+//! Conformance suite for the neighbor-list builders.
 //!
-//! The contract under test: [`NeighborList::build_parallel`] is **bitwise
-//! identical** to the serial [`NeighborList::build`] — same CSR `offsets`,
-//! same `indices` — at every thread count, for both list kinds, on arbitrary
-//! boxes and densities; and both agree with the O(n²) brute-force reference
-//! on the stored pair set. Plus the end-to-end skin invariant: between
-//! rebuilds, no pair inside the bare cutoff is ever absent from the active
-//! list.
+//! The contract under test: [`NeighborList::build`] and
+//! [`NeighborList::build_parallel`] at every thread count produce **the
+//! same bytes** as the O(n²) [`NeighborList::build_brute_force`] reference
+//! — same CSR `offsets`, same `indices`, rows ascending — for both list
+//! kinds, on cubic and non-cubic boxes, on boxes of 2 and 3 cells per axis
+//! (where the wrapped stencil repeats cells and must be deduplicated), and
+//! on a box with an open axis and atoms past its faces. The two builders
+//! share one row kernel, so each is pinned to the reference rather than
+//! to the other. Plus the end-to-end skin invariant: between rebuilds, no
+//! pair inside the bare cutoff is ever absent from the active list.
 
 use proptest::prelude::*;
 use sdc_md::core::ParallelContext;
@@ -40,22 +43,70 @@ fn random_cloud(seed: u64, n: usize, l: f64) -> Vec<Vec3> {
         .collect()
 }
 
-fn sorted_pairs(nl: &NeighborList) -> Vec<(u32, u32)> {
-    let mut v: Vec<(u32, u32)> = nl
-        .csr()
-        .iter_rows()
-        .flat_map(|(i, r)| r.iter().map(move |&j| (i as u32, j)))
+/// The box shapes the builders must handle.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Cubic,
+    /// Edges `l`, `l·(0.6 + 0.8·f.1)` and `l·(0.6 + 0.8·f.2)`.
+    NonCubic,
+    /// Edges `reach·(k + 0.01 + 0.98·f)`, so the grid has `k` cells per
+    /// axis and the 27-cell stencil wraps onto itself.
+    Cells(usize),
+    /// Periodic x and y, open z, with atoms up to 2 Å past both z faces.
+    OpenZ,
+}
+
+const SHAPES: [Shape; 5] = [
+    Shape::Cubic,
+    Shape::NonCubic,
+    Shape::Cells(2),
+    Shape::Cells(3),
+    Shape::OpenZ,
+];
+
+/// A box of `shape` with `n` atoms scattered in it: inside the primary
+/// image along the periodic axes, overhanging the open one.
+fn scene(
+    shape: Shape,
+    seed: u64,
+    n: usize,
+    l: f64,
+    reach: f64,
+    f: (f64, f64, f64),
+) -> (SimBox, Vec<Vec3>) {
+    let edge = |k: usize, x: f64| reach * (k as f64 + 0.01 + 0.98 * x);
+    let (sim_box, overhang) = match shape {
+        Shape::Cubic => (SimBox::cubic(l), 0.0),
+        Shape::NonCubic => {
+            let lengths = Vec3::new(l, l * (0.6 + 0.8 * f.1), l * (0.6 + 0.8 * f.2));
+            (SimBox::periodic(lengths), 0.0)
+        }
+        Shape::Cells(k) => {
+            let lengths = Vec3::new(edge(k, f.0), edge(k, f.1), edge(k, f.2));
+            (SimBox::periodic(lengths), 0.0)
+        }
+        Shape::OpenZ => {
+            let open_z = SimBox::with_periodicity(Vec3::splat(l), [true, true, false]);
+            (open_z, 2.0)
+        }
+    };
+    let len = sim_box.lengths();
+    let pos = random_cloud(seed, n, 1.0)
+        .into_iter()
+        .map(|u| {
+            let z = u.z * (len.z + 2.0 * overhang) - overhang;
+            Vec3::new(u.x * len.x, u.y * len.y, z)
+        })
         .collect();
-    v.sort_unstable();
-    v
+    (sim_box, pos)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Small random clouds: serial, parallel (each tested thread count) and
-    /// brute force must agree — the parallel build byte-for-byte, the brute
-    /// force on the pair set.
+    /// Small random clouds in every box shape: the serial build and the
+    /// parallel build at each tested thread count must equal the brute
+    /// force byte for byte.
     #[test]
     fn parallel_build_conforms_on_random_clouds(
         seed in 0u64..10_000,
@@ -64,36 +115,47 @@ proptest! {
         cutoff in 3.0..6.0f64,
         skin in 0.0..0.8f64,
         half in proptest::bool::ANY,
+        shape in 0usize..SHAPES.len(),
+        f in (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
     ) {
-        prop_assume!(l >= 2.0 * (cutoff + skin));
-        let b = SimBox::cubic(l);
-        let pos = random_cloud(seed, n, l);
+        let shape = SHAPES[shape];
+        let reach = cutoff + skin;
+        let (b, pos) = scene(shape, seed, n, l, reach, f);
+        prop_assume!(b.validate_cutoff(reach).is_ok());
+        if let Shape::Cells(k) = shape {
+            prop_assert_eq!(CellGrid::build(&b, &pos, reach).dims(), [k; 3]);
+        }
         let cfg = if half {
             VerletConfig::half(cutoff, skin)
         } else {
             VerletConfig::full(cutoff, skin)
         };
-        let serial = NeighborList::build(&b, &pos, cfg);
         let brute = NeighborList::build_brute_force(&b, &pos, cfg);
-        prop_assert_eq!(sorted_pairs(&serial), sorted_pairs(&brute));
+        let serial = NeighborList::build(&b, &pos, cfg);
+        prop_assert_eq!(
+            brute.csr().offsets(), serial.csr().offsets(),
+            "serial offsets diverged on {:?}", shape
+        );
+        prop_assert_eq!(
+            brute.csr().indices(), serial.csr().indices(),
+            "serial indices diverged on {:?}", shape
+        );
         for threads in [1usize, 2, 4, 8] {
             let parallel =
                 ctx(threads).install(|| NeighborList::build_parallel(&b, &pos, cfg));
             prop_assert_eq!(
-                serial.csr().offsets(), parallel.csr().offsets(),
-                "offsets diverged at {} threads", threads
+                brute.csr().offsets(), parallel.csr().offsets(),
+                "offsets diverged at {} threads on {:?}", threads, shape
             );
             prop_assert_eq!(
-                serial.csr().indices(), parallel.csr().indices(),
-                "indices diverged at {} threads", threads
+                brute.csr().indices(), parallel.csr().indices(),
+                "indices diverged at {} threads on {:?}", threads, shape
             );
         }
     }
 
-    /// Clouds past the parallel-path thresholds (atom chunking at 1024,
-    /// chunked counting sort at 2048): the real chunk/scatter machinery runs
-    /// and must still be bitwise identical. Brute force is skipped — the
-    /// serial build is already pinned to it above.
+    /// Clouds past the parallel binning threshold (the chunked counting
+    /// sort starts at 2048 atoms): still byte-equal to the brute force.
     #[test]
     fn parallel_build_is_bitwise_identical_on_large_clouds(
         seed in 0u64..10_000,
@@ -108,12 +170,12 @@ proptest! {
         } else {
             VerletConfig::full(5.0, 0.5)
         };
-        let serial = NeighborList::build(&b, &pos, cfg);
+        let brute = NeighborList::build_brute_force(&b, &pos, cfg);
         for threads in [2usize, 4, 8] {
             let parallel =
                 ctx(threads).install(|| NeighborList::build_parallel(&b, &pos, cfg));
-            prop_assert_eq!(serial.csr().offsets(), parallel.csr().offsets());
-            prop_assert_eq!(serial.csr().indices(), parallel.csr().indices());
+            prop_assert_eq!(brute.csr().offsets(), parallel.csr().offsets());
+            prop_assert_eq!(brute.csr().indices(), parallel.csr().indices());
         }
     }
 }
