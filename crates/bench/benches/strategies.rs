@@ -17,9 +17,6 @@ fn bench_strategies(c: &mut Criterion) {
         StrategyKind::Serial,
         StrategyKind::Sdc { dims: 2 },
         StrategyKind::Critical,
-        StrategyKind::Atomic,
-        StrategyKind::Locks,
-        StrategyKind::LocalWrite,
         StrategyKind::Privatized,
         StrategyKind::Redundant,
     ] {

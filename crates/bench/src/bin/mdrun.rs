@@ -19,7 +19,7 @@
 //!
 //! Potentials: `fe` (BCC iron EAM), `cu` (FCC copper EAM), `lj` (argon).
 //! Strategies: serial, sdc1d, sdc2d, sdc3d, taskgraph1d, taskgraph2d,
-//! taskgraph3d, cs, atomic, locks, localwrite, sap, rc (`--taskgraph` maps
+//! taskgraph3d, cs, sap, rc (`--taskgraph` maps
 //! an SDC strategy onto the dependency-graph scheduler). Thermostats:
 //! `none`, `rescale:T:N`, `berendsen:T:tau`, `langevin:T:tau`.
 //!
@@ -44,9 +44,8 @@ usage: mdrun [options]
   --potential fe|cu|lj      material (default fe)
   --cells N                 lattice cells per edge (default 10)
   --strategy NAME           serial|sdc1d|sdc2d|sdc3d|taskgraph1d|
-                            taskgraph2d|taskgraph3d|cs|atomic|locks|
-                            localwrite|sap|rc (default sdc3d; infeasible
-                            SDC degrades automatically)
+                            taskgraph2d|taskgraph3d|cs|sap|rc (default
+                            sdc3d; infeasible SDC degrades automatically)
   --taskgraph               run the SDC plan through the dependency-graph
                             work-stealing scheduler instead of the per-color
                             barriers (same dims as the chosen SDC strategy)
@@ -155,7 +154,7 @@ fn run(args: &Args) -> Result<(), String> {
     let cells: usize = args.try_get_or("--cells", 10)?;
     let strategy = match args.get_str("--strategy") {
         Some(s) => StrategyKind::parse(s).ok_or_else(|| {
-            format!("unknown strategy '{s}' for flag '--strategy' (serial|sdc1d|sdc2d|sdc3d|taskgraph1d|taskgraph2d|taskgraph3d|cs|atomic|locks|localwrite|sap|rc)")
+            format!("unknown strategy '{s}' for flag '--strategy' (serial|sdc1d|sdc2d|sdc3d|taskgraph1d|taskgraph2d|taskgraph3d|cs|sap|rc)")
         })?,
         None => StrategyKind::Sdc { dims: 3 },
     };

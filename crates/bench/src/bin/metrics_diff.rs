@@ -58,7 +58,6 @@ const WATCHED: &[(&str, Kind)] = &[
     ("spans.force_compute.count", Kind::Count),
     ("spans.integrate.count", Kind::Count),
     ("scatter.lock_acquisitions", Kind::Count),
-    ("scatter.lock_crossings", Kind::Count),
     ("scatter.duplicate_pairs", Kind::Count),
     ("scatter.merges", Kind::Count),
     ("scatter.color_barriers", Kind::Count),

@@ -6,7 +6,7 @@
 //!     --case 2 --scale 4 --strategy sdc2d --threads 4 --steps 20
 //! ```
 //!
-//! Strategies: serial, sdc1d, sdc2d, sdc3d, cs, atomic, sap, rc.
+//! Strategies: serial, sdc1d, sdc2d, sdc3d, cs, sap, rc.
 
 use md_sim::{StrategyKind, Thermo};
 use sdc_bench::{case_lattice, fe_simulation, Args};

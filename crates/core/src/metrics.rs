@@ -268,13 +268,9 @@ pub const MAX_COLORS: usize = 8;
 /// time-step of EAM contributes two sweeps.
 #[derive(Debug)]
 pub struct ScatterMetrics {
-    /// Lock acquisitions performed by the `Critical` / `Locks` strategies
-    /// (one per guarded update for CS; one per stripe lock taken for Locks).
+    /// Lock acquisitions performed by the `Critical` strategy (one per
+    /// guarded update).
     pub lock_acquisitions: Counter,
-    /// Pairs whose two endpoints needed two *distinct* stripe locks
-    /// (`Locks` strategy only) — the cross-stripe traffic the paper's
-    /// class-1 verdict is about.
-    pub lock_crossings: Counter,
     /// Nanoseconds spent in the serialized SAP merge (paper's `O(P·N)`
     /// sequential tail).
     pub merge_ns: Counter,
@@ -318,7 +314,6 @@ impl ScatterMetrics {
     pub fn new(threads: usize) -> ScatterMetrics {
         ScatterMetrics {
             lock_acquisitions: Counter::new(),
-            lock_crossings: Counter::new(),
             merge_ns: Counter::new(),
             merges: Counter::new(),
             private_bytes: Gauge::new(),
@@ -367,7 +362,6 @@ impl ScatterMetrics {
     /// Resets every counter, gauge and histogram.
     pub fn reset(&self) {
         self.lock_acquisitions.reset();
-        self.lock_crossings.reset();
         self.merge_ns.reset();
         self.merges.reset();
         self.private_bytes.set(0.0);

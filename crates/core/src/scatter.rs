@@ -11,7 +11,6 @@
 //! densities, [`Vec3`] for forces) so every strategy is written once.
 
 use md_geometry::Vec3;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A value that pair kernels accumulate into a shared per-atom array.
 pub trait ScatterValue: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
@@ -20,35 +19,6 @@ pub trait ScatterValue: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'stat
 
     /// In-place addition.
     fn add(&mut self, rhs: Self);
-
-    /// Lock-free atomic addition at `target`, implemented with per-lane
-    /// compare-exchange loops on the `f64` bit patterns. Used by the
-    /// `Atomic` baseline strategy.
-    ///
-    /// # Safety
-    /// `target` must be valid for reads and writes, and every concurrent
-    /// access to it for the duration of the scatter must go through this
-    /// method (no plain loads/stores).
-    unsafe fn atomic_add(target: *mut Self, rhs: Self);
-}
-
-/// CAS-loop add of one `f64` lane through an `AtomicU64` view.
-///
-/// # Safety
-/// Same contract as [`ScatterValue::atomic_add`], for one lane.
-#[inline]
-unsafe fn atomic_add_f64(target: *mut f64, rhs: f64) {
-    // SAFETY: caller guarantees validity and atomic-only concurrent access;
-    // f64 and AtomicU64 have the same size and alignment.
-    let atom = unsafe { &*(target as *const AtomicU64) };
-    let mut cur = atom.load(Ordering::Relaxed);
-    loop {
-        let new = f64::to_bits(f64::from_bits(cur) + rhs);
-        match atom.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
 }
 
 impl ScatterValue for f64 {
@@ -61,12 +31,6 @@ impl ScatterValue for f64 {
     fn add(&mut self, rhs: f64) {
         *self += rhs;
     }
-
-    #[inline]
-    unsafe fn atomic_add(target: *mut f64, rhs: f64) {
-        // SAFETY: forwarded contract.
-        unsafe { atomic_add_f64(target, rhs) }
-    }
 }
 
 impl ScatterValue for Vec3 {
@@ -78,18 +42,6 @@ impl ScatterValue for Vec3 {
     #[inline]
     fn add(&mut self, rhs: Vec3) {
         *self += rhs;
-    }
-
-    #[inline]
-    unsafe fn atomic_add(target: *mut Vec3, rhs: Vec3) {
-        // SAFETY: Vec3 is repr(C) of three f64 lanes; forwarded contract
-        // holds per lane.
-        unsafe {
-            let base = target as *mut f64;
-            atomic_add_f64(base, rhs.x);
-            atomic_add_f64(base.add(1), rhs.y);
-            atomic_add_f64(base.add(2), rhs.z);
-        }
     }
 }
 
@@ -130,17 +82,16 @@ impl PairTerm<Vec3> {
 pub trait PairKernel<V: ScatterValue>: Fn(usize, usize) -> Option<PairTerm<V>> + Sync {}
 impl<V: ScatterValue, K: Fn(usize, usize) -> Option<PairTerm<V>> + Sync> PairKernel<V> for K {}
 
-/// Slot sentinel handed to indexed kernels by strategies whose sweep carries
-/// no usable per-pair storage index (the gather, lock and privatized
-/// baselines, which may visit a pair from both endpoints or without a stable
-/// half-list position). On seeing `NO_SLOT` a kernel must fall back to
+/// Slot sentinel handed to slot-aware kernels by strategies whose sweep
+/// carries no usable per-pair storage index (the CS, SAP and RC baselines,
+/// which may visit a pair from both endpoints or without a stable half-list
+/// position). On seeing `NO_SLOT` a kernel must fall back to
 /// recomputing the pair instead of touching per-pair scratch.
 pub const NO_SLOT: usize = usize::MAX;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn zero_and_add() {
@@ -162,52 +113,5 @@ mod tests {
         let n = PairTerm::newton(Vec3::new(1.0, -2.0, 0.5));
         assert_eq!(n.to_i, Vec3::new(1.0, -2.0, 0.5));
         assert_eq!(n.to_j, Vec3::new(-1.0, 2.0, -0.5));
-    }
-
-    #[test]
-    fn atomic_add_f64_accumulates_under_contention() {
-        let data = Arc::new(vec![0.0f64; 1]);
-        let ptr = data.as_ptr() as usize;
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        // SAFETY: all concurrent access goes through atomic_add.
-                        unsafe { f64::atomic_add(ptr as *mut f64, 1.0) };
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(data[0], 4000.0);
-    }
-
-    #[test]
-    fn atomic_add_vec3_accumulates_under_contention() {
-        let data = Arc::new(vec![Vec3::ZERO; 1]);
-        let ptr = data.as_ptr() as usize;
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    for _ in 0..500 {
-                        // SAFETY: all concurrent access goes through atomic_add.
-                        unsafe {
-                            Vec3::atomic_add(
-                                ptr as *mut Vec3,
-                                Vec3::new(1.0, 2.0, t as f64),
-                            )
-                        };
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(data[0].x, 2000.0);
-        assert_eq!(data[0].y, 4000.0);
-        assert_eq!(data[0].z, (0.0 + 1.0 + 2.0 + 3.0) * 500.0);
     }
 }

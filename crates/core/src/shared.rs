@@ -70,8 +70,8 @@ impl<'a, T> SharedSlice<'a, T> {
         unsafe { &mut *self.ptr.add(i) }
     }
 
-    /// Raw base pointer (for the atomic strategy, which performs its own
-    /// lane-level synchronization).
+    /// Raw base pointer (for callers that carve provably disjoint
+    /// sub-slices, such as the batched embedding pass).
     #[inline]
     pub fn as_ptr(&self) -> *mut T {
         self.ptr

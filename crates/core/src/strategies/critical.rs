@@ -17,21 +17,12 @@ use rayon::prelude::*;
 use std::sync::{Mutex, PoisonError};
 
 /// Parallel scatter with one global mutex around each pair's two updates.
+///
+/// With `metrics`, every acquisition of the global lock is counted (one per
+/// contributing pair — exactly the serialized traffic the paper blames for
+/// CS's flat speedup). Counts accumulate in a per-row local and flush with
+/// one atomic add per row, so the pair loop itself gains no atomic traffic.
 pub fn scatter_critical<V: ScatterValue>(
-    ctx: &ParallelContext,
-    half: &Csr,
-    out: &mut [V],
-    kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
-) {
-    scatter_critical_metered(ctx, half, out, kernel, None);
-}
-
-/// [`scatter_critical`] with optional instrumentation: every acquisition of
-/// the global lock is counted (one per contributing pair — exactly the
-/// serialized traffic the paper blames for CS's flat speedup). Counts
-/// accumulate in a per-row local and flush with one atomic add per row, so
-/// the pair loop itself gains no atomic traffic.
-pub fn scatter_critical_metered<V: ScatterValue>(
     ctx: &ParallelContext,
     half: &Csr,
     out: &mut [V],
@@ -79,10 +70,10 @@ mod tests {
         let half = Csr::from_rows(&rows);
         let kernel = |i: usize, j: usize| Some(PairTerm::symmetric((i + j) as f64));
         let mut expect = vec![0.0f64; n];
-        crate::strategies::serial::scatter_serial(&half, &mut expect, &kernel);
+        crate::strategies::serial::scatter_serial(&half, &mut expect, &|_, i, j| kernel(i, j));
         let ctx = ParallelContext::new(4);
         let mut got = vec![0.0f64; n];
-        scatter_critical(&ctx, &half, &mut got, &kernel);
+        scatter_critical(&ctx, &half, &mut got, &kernel, None);
         // Summation order varies; integers summed exactly here.
         assert_eq!(expect, got);
     }

@@ -6,10 +6,7 @@
 //! and the MD engine both go through this single entry point, so every
 //! strategy sees exactly the same kernels and data.
 
-pub mod atomic;
 pub mod critical;
-pub mod localwrite;
-pub mod locked;
 pub mod privatized;
 pub mod redundant;
 pub mod sdc;
@@ -19,7 +16,7 @@ use crate::context::ParallelContext;
 use crate::metrics::ScatterMetrics;
 use crate::plan::SdcPlan;
 use crate::scatter::{PairTerm, ScatterValue, NO_SLOT};
-use crate::taskgraph::{self, TaskGraphRunner};
+use crate::taskgraph::{self, TaskGraph};
 use md_neighbor::Csr;
 
 /// Selects an irregular-reduction parallelization strategy (paper §I
@@ -36,16 +33,6 @@ pub enum StrategyKind {
     },
     /// One global lock around every scatter update (paper's CS baseline).
     Critical,
-    /// Lock-free CAS adds per update (a class-1 variant the paper names:
-    /// "critical region, atomic or lock").
-    Atomic,
-    /// Striped per-atom locks (the paper's remaining class-1 variant:
-    /// "… or lock") — parallel except on true stripe collisions.
-    Locks,
-    /// LOCALWRITE (paper class 3, Han & Tseng): inspector-partitioned
-    /// iteration space, boundary pairs computed redundantly by both sides,
-    /// all writes local — no synchronization.
-    LocalWrite,
     /// Share-Array Privatization: thread-private copies merged serially
     /// (paper's SAP baseline).
     Privatized,
@@ -53,7 +40,7 @@ pub enum StrategyKind {
     /// baseline): gather-only, 2× pair computations.
     Redundant,
     /// Dependency-graph scheduling of the SDC subdomain tasks: the per-color
-    /// barrier replaced by conflict edges and a work-stealing pool
+    /// barrier replaced by conflict edges and a work-stealing scheduler
     /// ([`crate::taskgraph`]); `dims` selects the decomposition like
     /// [`StrategyKind::Sdc`].
     TaskGraph {
@@ -72,9 +59,6 @@ impl StrategyKind {
             StrategyKind::Sdc { dims: 3 } => "sdc3d",
             StrategyKind::Sdc { .. } => "sdc",
             StrategyKind::Critical => "cs",
-            StrategyKind::Atomic => "atomic",
-            StrategyKind::Locks => "locks",
-            StrategyKind::LocalWrite => "localwrite",
             StrategyKind::Privatized => "sap",
             StrategyKind::Redundant => "rc",
             StrategyKind::TaskGraph { dims: 1 } => "taskgraph1d",
@@ -92,9 +76,6 @@ impl StrategyKind {
             "sdc2d" | "sdc" => StrategyKind::Sdc { dims: 2 },
             "sdc3d" => StrategyKind::Sdc { dims: 3 },
             "cs" | "critical" => StrategyKind::Critical,
-            "atomic" => StrategyKind::Atomic,
-            "locks" | "locked" => StrategyKind::Locks,
-            "localwrite" | "lw" => StrategyKind::LocalWrite,
             "sap" | "privatized" => StrategyKind::Privatized,
             "rc" | "redundant" => StrategyKind::Redundant,
             "taskgraph1d" => StrategyKind::TaskGraph { dims: 1 },
@@ -104,18 +85,15 @@ impl StrategyKind {
         })
     }
 
-    /// Every concrete strategy (the paper's Fig. 9 set plus the remaining
-    /// class-1 variants and the taskgraph scheduler).
-    pub fn all() -> [StrategyKind; 13] {
+    /// Every concrete strategy: the paper's Fig. 9 set (Serial, SDC, CS,
+    /// SAP, RC) plus the taskgraph schedule of SDC.
+    pub fn all() -> [StrategyKind; 10] {
         [
             StrategyKind::Serial,
             StrategyKind::Sdc { dims: 1 },
             StrategyKind::Sdc { dims: 2 },
             StrategyKind::Sdc { dims: 3 },
             StrategyKind::Critical,
-            StrategyKind::Atomic,
-            StrategyKind::Locks,
-            StrategyKind::LocalWrite,
             StrategyKind::Privatized,
             StrategyKind::Redundant,
             StrategyKind::TaskGraph { dims: 1 },
@@ -127,10 +105,7 @@ impl StrategyKind {
     /// `true` for strategies whose floating-point summation order is fixed,
     /// making results bit-reproducible run to run.
     pub fn is_deterministic(&self) -> bool {
-        !matches!(
-            self,
-            StrategyKind::Critical | StrategyKind::Atomic | StrategyKind::Locks
-        )
+        !matches!(self, StrategyKind::Critical)
     }
 
     /// `true` if the strategy consumes the full (symmetric) neighbor list.
@@ -155,13 +130,8 @@ impl StrategyKind {
         }
     }
 
-    /// `true` if the strategy needs a LOCALWRITE inspector plan.
-    pub fn needs_localwrite_plan(&self) -> bool {
-        matches!(self, StrategyKind::LocalWrite)
-    }
-
-    /// `true` for strategies whose [`ScatterExec::run_indexed`] sweep hands
-    /// the kernel real half-list slot indices (Serial, barriered SDC, and
+    /// `true` for strategies whose [`ScatterExec::run`] sweep hands the
+    /// kernel real half-list slot indices (Serial, barriered SDC, and
     /// the task-graph scheduler); every other strategy receives
     /// [`NO_SLOT`](crate::scatter::NO_SLOT) and must recompute per pair.
     /// Slot-addressed side channels — the fused EAM scratch replay and the
@@ -184,9 +154,9 @@ impl StrategyKind {
         match self {
             StrategyKind::Sdc { dims } if *dims > 1 => Some(StrategyKind::Sdc { dims: dims - 1 }),
             StrategyKind::Sdc { .. } => Some(StrategyKind::Privatized),
-            // The taskgraph scheduler's safe harbor is the barriered SDC
-            // reference at the same decomposition (same plan, coarser
-            // ordering) — used when the worker pool cannot be built.
+            // The taskgraph schedule's first step down is the barriered SDC
+            // schedule at the same decomposition (same plan, coarser
+            // ordering), which then continues down the SDC chain.
             StrategyKind::TaskGraph { dims } => Some(StrategyKind::Sdc { dims: *dims }),
             _ => None,
         }
@@ -230,169 +200,94 @@ pub struct ScatterExec<'a> {
     pub full: Option<&'a Csr>,
     /// SDC plan (`Sdc` only).
     pub plan: Option<&'a SdcPlan>,
-    /// LOCALWRITE inspector plan (`LocalWrite` only).
-    pub localwrite: Option<&'a localwrite::LocalWritePlan>,
     /// Instrumentation sink ([`crate::metrics`]); `None` disables all
     /// recording at zero cost in the pair loops.
     pub metrics: Option<&'a ScatterMetrics>,
     /// Reusable SAP private-copy buffers (`Privatized` only); `None` falls
     /// back to per-sweep allocation.
     pub sap: Option<&'a privatized::SapBuffers>,
-    /// Task-graph runner — worker pool plus the current plan's conflict DAG
-    /// (`TaskGraph` only).
-    pub taskgraph: Option<&'a TaskGraphRunner>,
+    /// Conflict DAG of the current plan (`TaskGraph` only); its workers
+    /// run at `ctx`'s thread count.
+    pub taskgraph: Option<&'a TaskGraph>,
 }
 
 impl ScatterExec<'_> {
     /// Runs the scatter: `out[i] += Σ to_i`, `out[j] += Σ to_j` over all
     /// stored pairs, using `kind`'s synchronization scheme.
     ///
+    /// The kernel receives each stored pair's slot — its storage index in
+    /// the half list (`offsets[i] + k` for the `k`-th neighbor of `i`) —
+    /// besides `(i, j)`. Strategies that [provide slots](StrategyKind::provides_slots)
+    /// visit each slot exactly once per sweep from exactly one task, so
+    /// kernels may keep disjoint per-pair scratch addressed by slot. CS, SAP
+    /// and RC pass [`NO_SLOT`](crate::scatter::NO_SLOT); the kernel must
+    /// then recompute the pair instead of touching scratch.
+    ///
     /// `out` is **accumulated into**, not cleared — callers zero it first
     /// when appropriate (matching the paper's loop structure, where `rho[]`
     /// and `force[]` are reset at the start of each step).
     ///
     /// # Panics
-    /// Panics if `kind` needs a resource (`full`, `plan`) this exec lacks,
-    /// or if `plan`'s dimensionality does not match `Sdc { dims }`.
+    /// Panics if `kind` needs a resource (`full`, `plan`, `taskgraph`) this
+    /// exec lacks, or if `plan`'s dimensionality does not match `kind`'s.
     pub fn run<V: ScatterValue>(
         &self,
         kind: StrategyKind,
         out: &mut [V],
-        kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
+        kernel: &(impl Fn(usize, usize, usize) -> Option<PairTerm<V>> + Sync),
     ) {
         assert_eq!(
             out.len(),
             self.half.rows(),
             "output length must match atom count"
         );
+        let plan = || {
+            let plan = self
+                .plan
+                .unwrap_or_else(|| panic!("{kind} strategy requires a plan"));
+            assert_eq!(
+                Some(plan.decomposition().dims()),
+                kind.plan_dims(),
+                "plan dimensionality does not match {kind}"
+            );
+            plan
+        };
+        let unslotted = |i, j| kernel(NO_SLOT, i, j);
         match kind {
             StrategyKind::Serial => serial::scatter_serial(self.half, out, kernel),
-            StrategyKind::Sdc { dims } => {
-                let plan = self.plan.expect("SDC strategy requires a plan");
-                assert_eq!(
-                    plan.decomposition().dims(),
-                    dims,
-                    "plan dimensionality does not match StrategyKind::Sdc"
+            StrategyKind::Sdc { .. } => {
+                sdc::scatter_sdc(self.ctx, plan(), self.half, out, kernel, self.metrics)
+            }
+            StrategyKind::TaskGraph { .. } => {
+                let plan = plan();
+                let graph = self
+                    .taskgraph
+                    .expect("TaskGraph strategy requires a task graph");
+                taskgraph::scatter_taskgraph(
+                    self.ctx.threads(),
+                    graph,
+                    plan,
+                    self.half,
+                    out,
+                    kernel,
+                    self.metrics,
                 );
-                sdc::scatter_sdc_metered(self.ctx, plan, self.half, out, kernel, self.metrics);
             }
             StrategyKind::Critical => {
-                critical::scatter_critical_metered(self.ctx, self.half, out, kernel, self.metrics)
+                critical::scatter_critical(self.ctx, self.half, out, &unslotted, self.metrics)
             }
-            StrategyKind::Atomic => atomic::scatter_atomic(self.ctx, self.half, out, kernel),
-            StrategyKind::Locks => {
-                locked::scatter_locked_metered(self.ctx, self.half, out, kernel, self.metrics)
-            }
-            StrategyKind::LocalWrite => {
-                let plan = self
-                    .localwrite
-                    .expect("LocalWrite strategy requires an inspector plan");
-                localwrite::scatter_localwrite(self.ctx, plan, out, kernel);
-            }
-            StrategyKind::Privatized => privatized::scatter_privatized_pooled(
+            StrategyKind::Privatized => privatized::scatter_privatized(
                 self.ctx,
                 self.half,
                 out,
-                kernel,
+                &unslotted,
                 self.metrics,
                 self.sap,
             ),
             StrategyKind::Redundant => {
                 let full = self.full.expect("Redundant strategy requires a full list");
-                redundant::scatter_redundant_metered(self.ctx, full, out, kernel, self.metrics);
+                redundant::scatter_redundant(self.ctx, full, out, &unslotted, self.metrics);
             }
-            StrategyKind::TaskGraph { dims } => {
-                let plan = self.plan.expect("TaskGraph strategy requires a plan");
-                assert_eq!(
-                    plan.decomposition().dims(),
-                    dims,
-                    "plan dimensionality does not match StrategyKind::TaskGraph"
-                );
-                let runner = self
-                    .taskgraph
-                    .expect("TaskGraph strategy requires a runner");
-                taskgraph::scatter_taskgraph_metered(
-                    runner,
-                    plan,
-                    self.half,
-                    out,
-                    kernel,
-                    self.metrics,
-                );
-            }
-        }
-    }
-
-    /// [`ScatterExec::run`] for **indexed** kernels: the kernel additionally
-    /// receives each stored pair's slot — its storage index in the half list
-    /// (`offsets[i] + k` for the `k`-th neighbor of `i`).
-    ///
-    /// `Serial` and `Sdc` hand out real slots, each visited exactly once per
-    /// sweep by exactly one task, so kernels may keep disjoint per-pair
-    /// scratch addressed by slot. Every other strategy routes through its
-    /// plain sweep and passes [`NO_SLOT`](crate::scatter::NO_SLOT); the
-    /// kernel must then recompute the pair instead of touching scratch.
-    pub fn run_indexed<V: ScatterValue>(
-        &self,
-        kind: StrategyKind,
-        out: &mut [V],
-        kernel: &(impl Fn(usize, usize, usize) -> Option<PairTerm<V>> + Sync),
-    ) {
-        match kind {
-            StrategyKind::Serial => {
-                assert_eq!(
-                    out.len(),
-                    self.half.rows(),
-                    "output length must match atom count"
-                );
-                serial::scatter_serial_indexed(self.half, out, kernel);
-            }
-            StrategyKind::Sdc { dims } => {
-                assert_eq!(
-                    out.len(),
-                    self.half.rows(),
-                    "output length must match atom count"
-                );
-                let plan = self.plan.expect("SDC strategy requires a plan");
-                assert_eq!(
-                    plan.decomposition().dims(),
-                    dims,
-                    "plan dimensionality does not match StrategyKind::Sdc"
-                );
-                sdc::scatter_sdc_indexed_metered(
-                    self.ctx,
-                    plan,
-                    self.half,
-                    out,
-                    kernel,
-                    self.metrics,
-                );
-            }
-            StrategyKind::TaskGraph { dims } => {
-                assert_eq!(
-                    out.len(),
-                    self.half.rows(),
-                    "output length must match atom count"
-                );
-                let plan = self.plan.expect("TaskGraph strategy requires a plan");
-                assert_eq!(
-                    plan.decomposition().dims(),
-                    dims,
-                    "plan dimensionality does not match StrategyKind::TaskGraph"
-                );
-                let runner = self
-                    .taskgraph
-                    .expect("TaskGraph strategy requires a runner");
-                taskgraph::scatter_taskgraph_indexed_metered(
-                    runner,
-                    plan,
-                    self.half,
-                    out,
-                    kernel,
-                    self.metrics,
-                );
-            }
-            _ => self.run(kind, out, &|i, j| kernel(NO_SLOT, i, j)),
         }
     }
 }
@@ -413,61 +308,54 @@ mod tests {
         half: md_neighbor::Csr,
         full: md_neighbor::Csr,
         plans: Vec<SdcPlan>,
-        lw: localwrite::LocalWritePlan,
+        graphs: Vec<TaskGraph>,
     }
 
     fn fixture() -> Fixture {
         let (sim_box, pos) = LatticeSpec::bcc_fe(17).build();
         let nl = NeighborList::build(&sim_box, &pos, VerletConfig::half(CUTOFF, SKIN));
         let full = nl.to_full();
-        let plans = (1..=3)
+        let plans: Vec<SdcPlan> = (1..=3)
             .map(|dims| {
                 SdcPlan::build(&sim_box, &pos, DecompositionConfig::new(dims, CUTOFF + SKIN))
                     .unwrap()
             })
             .collect();
-        let lw = localwrite::LocalWritePlan::build(nl.csr(), 16);
+        let graphs = plans
+            .iter()
+            .map(|p| TaskGraph::build(p.decomposition(), &sim_box))
+            .collect();
         Fixture {
             pos,
             sim_box,
             half: nl.csr().clone(),
             full: full.csr().clone(),
             plans,
-            lw,
+            graphs,
         }
     }
 
-    /// Runner for taskgraph kinds, `None` otherwise (built per call so the
-    /// pool width tracks `threads`).
-    fn runner_for(f: &Fixture, kind: StrategyKind, threads: usize) -> Option<TaskGraphRunner> {
-        match kind {
-            StrategyKind::TaskGraph { dims } => Some(
-                TaskGraphRunner::new(threads, &f.plans[dims - 1], &f.sim_box).unwrap(),
-            ),
-            _ => None,
+    fn exec<'a>(f: &'a Fixture, ctx: &'a ParallelContext, kind: StrategyKind) -> ScatterExec<'a> {
+        ScatterExec {
+            ctx,
+            half: &f.half,
+            full: Some(&f.full),
+            plan: kind.plan_dims().map(|dims| &f.plans[dims - 1]),
+            metrics: None,
+            sap: None,
+            taskgraph: kind.plan_dims().map(|dims| &f.graphs[dims - 1]),
         }
     }
 
     fn run_density(f: &Fixture, kind: StrategyKind, threads: usize) -> Vec<f64> {
         let ctx = ParallelContext::new(threads);
-        let plan = kind.plan_dims().map(|dims| &f.plans[dims - 1]);
-        let runner = runner_for(f, kind, threads);
-        let exec = ScatterExec {
-            ctx: &ctx,
-            half: &f.half,
-            full: Some(&f.full),
-            plan,
-            localwrite: Some(&f.lw),
-            metrics: None,
-            sap: None,
-            taskgraph: runner.as_ref(),
-        };
+        let exec = exec(f, &ctx, kind);
         let pos = &f.pos;
         let sim_box = &f.sim_box;
         let mut rho = vec![0.0f64; pos.len()];
         // A density-like symmetric kernel with a sharp cutoff, so the skin
         // pairs exercise the `None` path.
-        exec.run(kind, &mut rho, &|i, j| {
+        exec.run(kind, &mut rho, &|_, i, j| {
             let r2 = sim_box.distance_sq(pos[i], pos[j]);
             if r2 < CUTOFF * CUTOFF {
                 Some(PairTerm::symmetric((-r2).exp() + 0.01))
@@ -480,24 +368,13 @@ mod tests {
 
     fn run_force(f: &Fixture, kind: StrategyKind, threads: usize) -> Vec<Vec3> {
         let ctx = ParallelContext::new(threads);
-        let plan = kind.plan_dims().map(|dims| &f.plans[dims - 1]);
-        let runner = runner_for(f, kind, threads);
-        let exec = ScatterExec {
-            ctx: &ctx,
-            half: &f.half,
-            full: Some(&f.full),
-            plan,
-            localwrite: Some(&f.lw),
-            metrics: None,
-            sap: None,
-            taskgraph: runner.as_ref(),
-        };
+        let exec = exec(f, &ctx, kind);
         let pos = &f.pos;
         let sim_box = &f.sim_box;
         let mut force = vec![Vec3::ZERO; pos.len()];
         // An antisymmetric force-like kernel: f(i,j) = -f(j,i) by
         // construction, as Redundant requires.
-        exec.run(kind, &mut force, &|i, j| {
+        exec.run(kind, &mut force, &|_, i, j| {
             let d = sim_box.min_image(pos[i], pos[j]);
             let r2 = d.norm_sq();
             if r2 < CUTOFF * CUTOFF {
@@ -577,31 +454,20 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_matches_plain_and_slots_address_the_half_list() {
+    fn slots_address_the_half_list_exactly_where_provided() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let f = fixture();
         let reference = run_density(&f, StrategyKind::Serial, 1);
         for kind in StrategyKind::all() {
             let ctx = ParallelContext::new(4);
-            let plan = kind.plan_dims().map(|dims| &f.plans[dims - 1]);
-            let runner = runner_for(&f, kind, 4);
-            let exec = ScatterExec {
-                ctx: &ctx,
-                half: &f.half,
-                full: Some(&f.full),
-                plan,
-                localwrite: Some(&f.lw),
-                metrics: None,
-                sap: None,
-                taskgraph: runner.as_ref(),
-            };
+            let exec = exec(&f, &ctx, kind);
             // The public predicate must agree with the dispatch below — the
             // fused/SIMD engines gate their slot-addressed scratch on it.
             let expects_slots = kind.provides_slots();
             let hits: Vec<AtomicU32> = (0..f.half.entries()).map(|_| AtomicU32::new(0)).collect();
             let (pos, sim_box, half) = (&f.pos, &f.sim_box, &f.half);
             let mut rho = vec![0.0f64; pos.len()];
-            exec.run_indexed(kind, &mut rho, &|slot, i, j| {
+            exec.run(kind, &mut rho, &|slot, i, j| {
                 if expects_slots {
                     // A real slot must name exactly this pair's storage cell.
                     assert_eq!(half.indices()[slot], j as u32, "{kind}: slot names wrong pair");
@@ -614,7 +480,7 @@ mod tests {
                 let r2 = sim_box.distance_sq(pos[i], pos[j]);
                 (r2 < CUTOFF * CUTOFF).then(|| PairTerm::symmetric((-r2).exp() + 0.01))
             });
-            assert_close_f64(&reference, &rho, 1e-12, &format!("indexed {kind}"));
+            assert_close_f64(&reference, &rho, 1e-12, &format!("slotted {kind}"));
             if expects_slots {
                 assert!(
                     hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
@@ -638,15 +504,14 @@ mod tests {
         assert!(!StrategyKind::Serial.needs_full_list());
         assert!(StrategyKind::Sdc { dims: 2 }.needs_plan());
         assert!(!StrategyKind::Critical.needs_plan());
-        assert!(!StrategyKind::Atomic.is_deterministic());
         assert!(!StrategyKind::Critical.is_deterministic());
-        assert!(!StrategyKind::Locks.is_deterministic());
+        assert!(StrategyKind::Privatized.is_deterministic());
         assert!(StrategyKind::Sdc { dims: 3 }.is_deterministic());
         assert!(StrategyKind::TaskGraph { dims: 2 }.needs_plan());
         assert!(StrategyKind::TaskGraph { dims: 2 }.is_deterministic());
         assert_eq!(StrategyKind::TaskGraph { dims: 3 }.plan_dims(), Some(3));
         assert_eq!(StrategyKind::Sdc { dims: 1 }.plan_dims(), Some(1));
-        assert_eq!(StrategyKind::Locks.plan_dims(), None);
+        assert_eq!(StrategyKind::Critical.plan_dims(), None);
     }
 
     #[test]
@@ -701,13 +566,12 @@ mod tests {
             half: &f.half,
             full: None,
             plan: None,
-            localwrite: None,
             metrics: None,
             sap: None,
             taskgraph: None,
         };
         let mut out = vec![0.0f64; f.pos.len()];
-        exec.run(StrategyKind::Sdc { dims: 2 }, &mut out, &|_, _| {
+        exec.run(StrategyKind::Sdc { dims: 2 }, &mut out, &|_, _, _| {
             Some(PairTerm::symmetric(1.0))
         });
     }
@@ -722,13 +586,12 @@ mod tests {
             half: &f.half,
             full: None,
             plan: None,
-            localwrite: None,
             metrics: None,
             sap: None,
             taskgraph: None,
         };
         let mut out = vec![0.0f64; f.pos.len()];
-        exec.run(StrategyKind::Redundant, &mut out, &|_, _| {
+        exec.run(StrategyKind::Redundant, &mut out, &|_, _, _| {
             Some(PairTerm::symmetric(1.0))
         });
     }
@@ -743,13 +606,12 @@ mod tests {
             half: &f.half,
             full: None,
             plan: None,
-            localwrite: None,
             metrics: None,
             sap: None,
             taskgraph: None,
         };
         let mut out = vec![0.0f64; 3];
-        exec.run(StrategyKind::Serial, &mut out, &|_, _| {
+        exec.run(StrategyKind::Serial, &mut out, &|_, _, _| {
             Some(PairTerm::symmetric(1.0))
         });
     }

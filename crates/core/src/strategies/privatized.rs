@@ -63,41 +63,17 @@ impl SapBuffers {
 /// static schedule); chunk `k` scatters into private array `k`; the merge
 /// adds the private arrays into `out` in chunk order, so the result is
 /// deterministic for a fixed thread count.
-pub fn scatter_privatized<V: ScatterValue>(
-    ctx: &ParallelContext,
-    half: &Csr,
-    out: &mut [V],
-    kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
-) {
-    scatter_privatized_pooled(ctx, half, out, kernel, None, None);
-}
-
-/// [`scatter_privatized`] with optional instrumentation; see
-/// [`scatter_privatized_pooled`] for the full-featured entry point.
-pub fn scatter_privatized_metered<V: ScatterValue>(
-    ctx: &ParallelContext,
-    half: &Csr,
-    out: &mut [V],
-    kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
-    metrics: Option<&ScatterMetrics>,
-) {
-    scatter_privatized_pooled(ctx, half, out, kernel, metrics, None);
-}
-
-/// [`scatter_privatized`] with optional instrumentation and buffer reuse.
 ///
 /// Only **active** chunks — those covering at least one row — get a private
-/// array: with `threads > rows` the old behavior allocated, zero-filled and
-/// merged `threads` full-length arrays even though all but `rows` of them
-/// stayed identically zero. `active = ceil(rows / chunk) ≤ threads` bounds
-/// both the allocation and the serialized merge, and is what
-/// [`privatized_bytes`] (and the `private_bytes` metric) report.
+/// array: `active = ceil(rows / chunk) ≤ threads` bounds both the
+/// allocation and the serialized merge, and is what [`privatized_bytes`]
+/// (and the `private_bytes` metric) report.
 ///
 /// The serialized merge — the paper's `O(copies × N)` sequential tail — is
 /// timed per sweep when `metrics` is given. When `pool` is given the private
 /// arrays are borrowed from it and returned after the merge instead of being
 /// reallocated each sweep.
-pub fn scatter_privatized_pooled<V: ScatterValue>(
+pub fn scatter_privatized<V: ScatterValue>(
     ctx: &ParallelContext,
     half: &Csr,
     out: &mut [V],
@@ -176,11 +152,11 @@ mod tests {
         let half = Csr::from_rows(&rows);
         let kernel = |i: usize, j: usize| Some(PairTerm::symmetric((i * 31 + j) as f64));
         let mut expect = vec![0.0f64; n];
-        crate::strategies::serial::scatter_serial(&half, &mut expect, &kernel);
+        crate::strategies::serial::scatter_serial(&half, &mut expect, &|_, i, j| kernel(i, j));
         for threads in [1, 2, 3, 4, 7] {
             let ctx = ParallelContext::new(threads);
             let mut got = vec![0.0f64; n];
-            scatter_privatized(&ctx, &half, &mut got, &kernel);
+            scatter_privatized(&ctx, &half, &mut got, &kernel, None, None);
             assert_eq!(expect, got, "threads = {threads}");
         }
     }
@@ -190,7 +166,14 @@ mod tests {
         let half = Csr::from_rows(&[vec![1], vec![]]);
         let ctx = ParallelContext::new(8);
         let mut out = vec![0.0f64; 2];
-        scatter_privatized(&ctx, &half, &mut out, &|_, _| Some(PairTerm::symmetric(1.0)));
+        scatter_privatized(
+            &ctx,
+            &half,
+            &mut out,
+            &|_, _| Some(PairTerm::symmetric(1.0)),
+            None,
+            None,
+        );
         assert_eq!(out, vec![1.0, 1.0]);
     }
 
@@ -203,9 +186,14 @@ mod tests {
         let half = Csr::from_rows(&[vec![1], vec![]]);
         let ctx = ParallelContext::new(8);
         let mut out = vec![0.0f64; 2];
-        scatter_privatized_metered(&ctx, &half, &mut out, &|_, _| {
-            Some(PairTerm::symmetric(1.0))
-        }, Some(&m));
+        scatter_privatized(
+            &ctx,
+            &half,
+            &mut out,
+            &|_, _| Some(PairTerm::symmetric(1.0)),
+            Some(&m),
+            None,
+        );
         assert_eq!(out, vec![1.0, 1.0]);
         assert_eq!(m.private_bytes.get(), privatized_bytes::<f64>(2, 2) as f64);
         assert_eq!(m.merges.get(), 1);
@@ -217,9 +205,14 @@ mod tests {
         let half = Csr::from_rows(&[]);
         let ctx = ParallelContext::new(4);
         let mut out: Vec<f64> = vec![];
-        scatter_privatized_metered(&ctx, &half, &mut out, &|_, _| {
-            Some(PairTerm::symmetric(1.0))
-        }, Some(&m));
+        scatter_privatized(
+            &ctx,
+            &half,
+            &mut out,
+            &|_, _| Some(PairTerm::symmetric(1.0)),
+            Some(&m),
+            None,
+        );
         assert_eq!(m.private_bytes.get(), 0.0);
     }
 
@@ -234,9 +227,9 @@ mod tests {
         let ctx = ParallelContext::new(3);
         let pool = SapBuffers::new();
         let mut expect = vec![0.0f64; n];
-        scatter_privatized(&ctx, &half, &mut expect, &kernel);
+        scatter_privatized(&ctx, &half, &mut expect, &kernel, None, None);
         let mut first = vec![0.0f64; n];
-        scatter_privatized_pooled(&ctx, &half, &mut first, &kernel, None, Some(&pool));
+        scatter_privatized(&ctx, &half, &mut first, &kernel, None, Some(&pool));
         assert_eq!(expect, first);
         // The pool now holds the private arrays; a second sweep must hand
         // back the same storage, fully re-zeroed (no stale contributions).
@@ -245,7 +238,7 @@ mod tests {
         let fingerprints: Vec<*const f64> = held.iter().map(|b| b.as_ptr()).collect();
         pool.put(held);
         let mut second = vec![0.0f64; n];
-        scatter_privatized_pooled(&ctx, &half, &mut second, &kernel, None, Some(&pool));
+        scatter_privatized(&ctx, &half, &mut second, &kernel, None, Some(&pool));
         assert_eq!(expect, second, "stale buffer contents leaked into sweep 2");
         let held = pool.take::<f64>();
         let again: Vec<*const f64> = held.iter().map(|b| b.as_ptr()).collect();
@@ -253,7 +246,7 @@ mod tests {
         // Distinct value types coexist in one pool.
         pool.put(held);
         let mut v3 = vec![md_geometry::Vec3::ZERO; n];
-        scatter_privatized_pooled(
+        scatter_privatized(
             &ctx,
             &half,
             &mut v3,

@@ -18,21 +18,13 @@ use md_neighbor::Csr;
 use rayon::prelude::*;
 
 /// Gather-only parallel reduction over a full neighbor list.
+///
+/// With `metrics`, counts the *duplicate* kernel evaluations — the second
+/// visit of each stored pair, identified as the `j < i` traversal of the
+/// full list — i.e. exactly the extra compute the paper charges RC with.
+/// Tallies accumulate in a per-row local and flush with one atomic add per
+/// row.
 pub fn scatter_redundant<V: ScatterValue>(
-    ctx: &ParallelContext,
-    full: &Csr,
-    out: &mut [V],
-    kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
-) {
-    scatter_redundant_metered(ctx, full, out, kernel, None);
-}
-
-/// [`scatter_redundant`] with optional instrumentation: counts the
-/// *duplicate* kernel evaluations — the second visit of each stored pair,
-/// identified as the `j < i` traversal of the full list — i.e. exactly the
-/// extra compute the paper charges RC with. Tallies accumulate in a per-row
-/// local and flush with one atomic add per row.
-pub fn scatter_redundant_metered<V: ScatterValue>(
     ctx: &ParallelContext,
     full: &Csr,
     out: &mut [V],
@@ -65,10 +57,10 @@ mod tests {
         let full = half.symmetrized();
         let kernel = |i: usize, j: usize| Some(PairTerm::symmetric((i + j) as f64));
         let mut expect = vec![0.0f64; 4];
-        crate::strategies::serial::scatter_serial(&half, &mut expect, &kernel);
+        crate::strategies::serial::scatter_serial(&half, &mut expect, &|_, i, j| kernel(i, j));
         let ctx = ParallelContext::new(3);
         let mut got = vec![0.0f64; 4];
-        scatter_redundant(&ctx, &full, &mut got, &kernel);
+        scatter_redundant(&ctx, &full, &mut got, &kernel, None);
         assert_eq!(expect, got);
     }
 
@@ -83,7 +75,7 @@ mod tests {
         };
         let ctx = ParallelContext::new(2);
         let mut got = vec![0.0f64; 3];
-        scatter_redundant(&ctx, &full, &mut got, &kernel);
+        scatter_redundant(&ctx, &full, &mut got, &kernel, None);
         // atom 0: +1 (from 1). atom 1: -1 (from 0) + 1 (from 2) = 0.
         // atom 2: -1 (from 1).
         assert_eq!(got, vec![1.0, 0.0, -1.0]);

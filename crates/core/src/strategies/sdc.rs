@@ -20,8 +20,8 @@
 //! subdomain of edge ≥ 2·(cutoff + skin) along some axis, and every list
 //! neighbor lies within `cutoff + skin` of its owner. The invariant is
 //! established once per neighbor-list rebuild and can be checked exhaustively
-//! with [`SdcPlan::validate_footprints`]; debug builds re-verify it here on
-//! every plan's first use.
+//! with [`SdcPlan::validate_footprints`]; debug builds re-verify it before
+//! every sweep.
 //!
 //! The only synchronization the strategy ever performs is the barrier at the
 //! end of each color's parallel loop — `colors` barriers per sweep (2, 4 or
@@ -38,40 +38,21 @@ use rayon::prelude::*;
 use std::time::Instant;
 
 /// Color-parallel scatter over a half list (see module docs).
-pub fn scatter_sdc<V: ScatterValue>(
-    ctx: &ParallelContext,
-    plan: &SdcPlan,
-    half: &Csr,
-    out: &mut [V],
-    kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
-) {
-    scatter_sdc_metered(ctx, plan, half, out, kernel, None);
-}
-
-/// [`scatter_sdc`] with optional instrumentation: per-color wall time (the
-/// span of each color's parallel region, whose join is the barrier) and
-/// per-worker busy time (attributed via `rayon::current_thread_index`, so a
-/// worker's barrier wait is `Σ color walls − busy`). Timing is taken once
-/// per color / per subdomain task — never inside the pair loop — keeping the
-/// enabled-path overhead within the ≤ 1% budget (DESIGN.md §10).
-pub fn scatter_sdc_metered<V: ScatterValue>(
-    ctx: &ParallelContext,
-    plan: &SdcPlan,
-    half: &Csr,
-    out: &mut [V],
-    kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
-    metrics: Option<&ScatterMetrics>,
-) {
-    scatter_sdc_indexed_metered(ctx, plan, half, out, &|_, i, j| kernel(i, j), metrics);
-}
-
-/// [`scatter_sdc_metered`] whose kernel also receives each pair's **slot** —
-/// its storage index in the half list (`offsets[i] + k`). Within one sweep
-/// every stored pair is visited exactly once and by exactly one task, so an
-/// indexed kernel may write disjoint per-pair scratch entries through a
-/// [`SharedSlice`] (the fused EAM path's phase-1 record store) under the same
+///
+/// The kernel receives each pair's **slot** — its storage index in the half
+/// list (`offsets[i] + k`) — besides `(i, j)`. Within one sweep every stored
+/// pair is visited exactly once and by exactly one task, so a kernel may
+/// write disjoint per-pair scratch entries through a [`SharedSlice`] (the
+/// fused EAM path's phase-1 record store) under the same
 /// footprint-disjointness argument that covers `out`.
-pub fn scatter_sdc_indexed_metered<V: ScatterValue>(
+///
+/// With `metrics`, records per-color wall time (the span of each color's
+/// parallel region, whose join is the barrier) and per-worker busy time
+/// (attributed via `rayon::current_thread_index`, so a worker's barrier
+/// wait is `Σ color walls − busy`). Timing is taken once per color / per
+/// subdomain task — never inside the pair loop — keeping the enabled-path
+/// overhead within the ≤ 1% budget (DESIGN.md §10).
+pub fn scatter_sdc<V: ScatterValue>(
     ctx: &ParallelContext,
     plan: &SdcPlan,
     half: &Csr,
@@ -83,37 +64,31 @@ pub fn scatter_sdc_indexed_metered<V: ScatterValue>(
         plan.validate_footprints(half).is_ok(),
         "SDC plan footprints overlap; decomposition range too small for this list"
     );
-    let decomp = plan.decomposition();
-    let offsets = half.offsets();
     let shared = SharedSlice::new(out);
+    run_by_color(ctx, plan, metrics, |s| {
+        // SAFETY: only same-color subdomains run between two barriers, and
+        // same-color write footprints are disjoint (checked above).
+        unsafe { sweep_subdomain(plan, half, &shared, s, kernel) }
+    });
+}
+
+/// The barrier schedule: runs `task(s)` for every subdomain, color after
+/// color, with the same-color subdomains in parallel and a barrier (the
+/// `par_iter` join) before the next color starts. The iteration order
+/// within a color is the plan's schedule (LPT when balancing is on, CSR
+/// otherwise).
+pub(crate) fn run_by_color(
+    ctx: &ParallelContext,
+    plan: &SdcPlan,
+    metrics: Option<&ScatterMetrics>,
+    task: impl Fn(usize) + Sync,
+) {
     ctx.install(|| {
-        for color in 0..decomp.color_count() {
+        for color in 0..plan.decomposition().color_count() {
             let color_start = metrics.map(|_| Instant::now());
-            // Parallel over same-color subdomains; the par_iter join is the
-            // paper's implicit barrier before the next color starts. The
-            // iteration order is the plan's schedule (LPT when balancing is
-            // on, CSR otherwise) — within a color any order is
-            // result-identical, because each output element has exactly one
-            // writer per color.
             plan.ordered_of_color(color).par_iter().for_each(|&s| {
                 let task_start = metrics.map(|_| Instant::now());
-                let sh = &shared;
-                for &i in plan.atoms_of(s as usize) {
-                    let i = i as usize;
-                    let base = offsets[i] as usize;
-                    for (k, &j) in half.row(i).iter().enumerate() {
-                        if let Some(t) = kernel(base + k, i, j as usize) {
-                            // SAFETY: i is owned by subdomain s; j is a list
-                            // neighbor of i, hence inside s's halo. Same-color
-                            // footprints are disjoint (checked above), so no
-                            // other task touches these elements this color.
-                            unsafe {
-                                sh.get_mut(i).add(t.to_i);
-                                sh.get_mut(j as usize).add(t.to_j);
-                            }
-                        }
-                    }
-                }
+                task(s as usize);
                 if let (Some(m), Some(start)) = (metrics, task_start) {
                     let worker = rayon::current_thread_index().unwrap_or(0);
                     m.add_busy_ns(worker, start.elapsed().as_nanos() as u64);
@@ -125,6 +100,44 @@ pub fn scatter_sdc_indexed_metered<V: ScatterValue>(
             }
         }
     });
+}
+
+/// One subdomain task: for every atom `i` of subdomain `s` and every stored
+/// pair `(i, j)` of its half-list row, `out[i] += to_i` and
+/// `out[j] += to_j`, rows and neighbors in CSR order. Both schedules — the
+/// color barriers of [`scatter_sdc`] and the conflict DAG of
+/// [`crate::taskgraph::scatter_taskgraph`] — run their tasks through this
+/// one function, so the per-element accumulation order, and with it the
+/// bitwise result, depends only on the order in which conflicting tasks
+/// run.
+///
+/// # Safety
+/// While this runs, no other thread may access an element of `out` in the
+/// write footprint of `s`: the atoms of `s` and their half-list neighbors.
+#[inline]
+pub(crate) unsafe fn sweep_subdomain<V: ScatterValue>(
+    plan: &SdcPlan,
+    half: &Csr,
+    out: &SharedSlice<'_, V>,
+    s: usize,
+    kernel: &(impl Fn(usize, usize, usize) -> Option<PairTerm<V>> + Sync),
+) {
+    let offsets = half.offsets();
+    for &i in plan.atoms_of(s) {
+        let i = i as usize;
+        let base = offsets[i] as usize;
+        for (k, &j) in half.row(i).iter().enumerate() {
+            if let Some(t) = kernel(base + k, i, j as usize) {
+                // SAFETY: i is owned by s and j is a list neighbor of i, so
+                // both lie in s's write footprint, which the caller keeps
+                // free of other threads.
+                unsafe {
+                    out.get_mut(i).add(t.to_i);
+                    out.get_mut(j as usize).add(t.to_j);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -141,7 +154,7 @@ mod tests {
     fn matches_serial_for_each_dimensionality() {
         let (bx, pos) = LatticeSpec::bcc_fe(17).build();
         let nl = NeighborList::build(&bx, &pos, VerletConfig::half(CUTOFF, SKIN));
-        let kernel = |i: usize, j: usize| {
+        let kernel = |_: usize, i: usize, j: usize| {
             let r2 = bx.distance_sq(pos[i], pos[j]);
             (r2 < CUTOFF * CUTOFF).then(|| PairTerm::symmetric(1.0 / (1.0 + r2)))
         };
@@ -153,7 +166,7 @@ mod tests {
             for threads in [1, 2, 5] {
                 let ctx = ParallelContext::new(threads);
                 let mut got = vec![0.0f64; pos.len()];
-                scatter_sdc(&ctx, &plan, nl.csr(), &mut got, &kernel);
+                scatter_sdc(&ctx, &plan, nl.csr(), &mut got, &kernel, None);
                 for (k, (a, b)) in expect.iter().zip(&got).enumerate() {
                     assert!(
                         (a - b).abs() < 1e-12,
@@ -168,7 +181,7 @@ mod tests {
     fn vec3_scatter_matches_serial() {
         let (bx, pos) = LatticeSpec::bcc_fe(17).build();
         let nl = NeighborList::build(&bx, &pos, VerletConfig::half(CUTOFF, SKIN));
-        let kernel = |i: usize, j: usize| {
+        let kernel = |_: usize, i: usize, j: usize| {
             let d = bx.min_image(pos[i], pos[j]);
             let r2 = d.norm_sq();
             (r2 < CUTOFF * CUTOFF).then(|| PairTerm::newton(d / (1.0 + r2)))
@@ -178,7 +191,7 @@ mod tests {
         let plan = SdcPlan::build(&bx, &pos, DecompositionConfig::new(3, CUTOFF + SKIN)).unwrap();
         let ctx = ParallelContext::new(4);
         let mut got = vec![Vec3::ZERO; pos.len()];
-        scatter_sdc(&ctx, &plan, nl.csr(), &mut got, &kernel);
+        scatter_sdc(&ctx, &plan, nl.csr(), &mut got, &kernel, None);
         for (a, b) in expect.iter().zip(&got) {
             assert!((*a - *b).norm() < 1e-12);
         }
@@ -192,7 +205,7 @@ mod tests {
         use crate::schedule::ColorSchedule;
         let (bx, pos) = LatticeSpec::bcc_fe(17).build();
         let nl = NeighborList::build(&bx, &pos, VerletConfig::half(CUTOFF, SKIN));
-        let kernel = |i: usize, j: usize| {
+        let kernel = |_: usize, i: usize, j: usize| {
             let r2 = bx.distance_sq(pos[i], pos[j]);
             (r2 < CUTOFF * CUTOFF).then(|| PairTerm::symmetric(1.0 / (1.0 + r2)))
         };
@@ -207,9 +220,12 @@ mod tests {
                 let ctx = ParallelContext::new(threads);
                 let mut plain = vec![0.0f64; pos.len()];
                 let mut lpt = vec![0.0f64; pos.len()];
-                scatter_sdc(&ctx, &plan, nl.csr(), &mut plain, &kernel);
-                scatter_sdc(&ctx, &scheduled, nl.csr(), &mut lpt, &kernel);
-                assert_eq!(plain, lpt, "dims {dims} threads {threads}: LPT changed a bit");
+                scatter_sdc(&ctx, &plan, nl.csr(), &mut plain, &kernel, None);
+                scatter_sdc(&ctx, &scheduled, nl.csr(), &mut lpt, &kernel, None);
+                assert_eq!(
+                    plain, lpt,
+                    "dims {dims} threads {threads}: LPT changed a bit"
+                );
             }
         }
     }
@@ -223,9 +239,14 @@ mod tests {
         let plan = SdcPlan::build(&bx, &pos, DecompositionConfig::new(2, CUTOFF)).unwrap();
         let ctx = ParallelContext::new(4);
         let mut got = vec![0.0f64; pos.len()];
-        scatter_sdc(&ctx, &plan, nl.csr(), &mut got, &|_, _| {
-            Some(PairTerm::symmetric(1.0))
-        });
+        scatter_sdc(
+            &ctx,
+            &plan,
+            nl.csr(),
+            &mut got,
+            &|_, _, _| Some(PairTerm::symmetric(1.0)),
+            None,
+        );
         let full = nl.to_full();
         #[allow(clippy::needless_range_loop)]
         for i in 0..pos.len() {

@@ -36,21 +36,24 @@
 //! task, taskgraph results are **bitwise-equal** to barriered SDC
 //! (DESIGN.md §14).
 //!
-//! Execution is a small work-stealing pool on `std::thread`, because rayon
-//! exposes no dependency hooks: one deque per worker, owners pop the
-//! front, thieves steal from the back, completions
-//! decrement dependent counters and push newly-ready tasks onto the
-//! completing worker's deque. Per-task ready-latency and steal counters
-//! replace the per-color wall histograms in [`ScatterMetrics`].
+//! Execution is a small work-stealing scheduler on scoped `std::thread`
+//! workers, started per sweep, because rayon exposes no dependency hooks:
+//! one deque per worker, owners pop the front, thieves steal from the back,
+//! completions decrement dependent counters and push newly-ready tasks onto
+//! the completing worker's deque. Each task is the same subdomain sweep the
+//! barriered schedule runs ([`crate::strategies::sdc`]). Per-task
+//! ready-latency and steal counters replace the per-color wall histograms
+//! in [`ScatterMetrics`].
 
 use crate::metrics::ScatterMetrics;
 use crate::plan::SdcPlan;
 use crate::scatter::{PairTerm, ScatterValue};
 use crate::shared::SharedSlice;
+use crate::strategies::sdc::sweep_subdomain;
 use md_geometry::SimBox;
 use md_neighbor::Csr;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -219,98 +222,27 @@ impl TaskGraph {
         }
         Ok(())
     }
-}
 
-/// A failed [`TaskPool`] construction — the platform refused a worker
-/// thread, or a test injected a failure. The engine reacts by downgrading
-/// to the barriered SDC reference.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolBuildError(String);
-
-impl std::fmt::Display for PoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task pool construction failed: {}", self.0)
-    }
-}
-
-impl std::error::Error for PoolBuildError {}
-
-static FAIL_NEXT_POOL: AtomicBool = AtomicBool::new(false);
-
-/// Test hook: make the next [`TaskPool::new`] fail, exercising the engine's
-/// `DowngradeEvent` fallback to barriered SDC without needing a platform
-/// that actually cannot spawn threads. Consumed by the next construction.
-pub fn inject_pool_failure(fail: bool) {
-    FAIL_NEXT_POOL.store(fail, Ordering::SeqCst);
-}
-
-/// A validated worker count for dependency-driven task execution.
-///
-/// Construction probes the platform by spawning and joining one thread, so a
-/// host that cannot run workers fails *here* — where the engine can still
-/// fall back to barriered SDC — rather than mid-sweep. The pool itself is
-/// scoped: workers live only for the duration of each [`TaskPool::run_metered`]
-/// call (`std::thread::scope`), so an idle pool holds no OS resources.
-#[derive(Debug)]
-pub struct TaskPool {
-    threads: usize,
-}
-
-impl TaskPool {
-    /// Validates a pool of `threads` workers.
+    /// The dependency schedule: executes every task exactly once on
+    /// `threads` scoped workers, respecting all edges — `task(id, worker)`
+    /// runs only after every task with an edge into `id` has returned.
+    /// Work-stealing: initially-ready tasks are dealt round-robin across the
+    /// per-worker deques in ascending id order, each worker pops its own
+    /// front and steals from others' backs, and a completion pushes
+    /// newly-ready dependents onto the completing worker's deque.
     ///
-    /// # Errors
-    /// Fails on `threads == 0`, when the platform refuses a probe thread, or
-    /// when a failure was injected via [`inject_pool_failure`].
-    pub fn new(threads: usize) -> Result<TaskPool, PoolBuildError> {
-        if threads == 0 {
-            return Err(PoolBuildError("worker count must be positive".into()));
-        }
-        if FAIL_NEXT_POOL.swap(false, Ordering::SeqCst) {
-            return Err(PoolBuildError("injected failure (test hook)".into()));
-        }
-        let probe = std::thread::Builder::new()
-            .name("taskgraph-probe".into())
-            .spawn(|| {});
-        match probe {
-            Ok(handle) => {
-                let _ = handle.join();
-                Ok(TaskPool { threads })
-            }
-            Err(e) => Err(PoolBuildError(format!("cannot spawn worker threads: {e}"))),
-        }
-    }
-
-    /// Worker count.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Executes every task of `graph` exactly once, respecting all edges:
-    /// `task(id, worker)` runs only after every task with an edge into `id`
-    /// has returned. Work-stealing: initially-ready tasks are dealt
-    /// round-robin across the per-worker deques in ascending id order, each
-    /// worker pops its own front and steals from others' backs, and a
-    /// completion pushes newly-ready dependents onto the completing worker's
-    /// deque.
-    ///
-    /// With metrics on, records per-task busy time (pool worker indices),
-    /// task and steal counts, and the ready→start latency histogram.
-    pub fn run_metered<F>(&self, graph: &TaskGraph, metrics: Option<&ScatterMetrics>, task: F)
+    /// With metrics on, records per-task busy time (worker indices), task
+    /// and steal counts, and the ready→start latency histogram.
+    pub(crate) fn run<F>(&self, threads: usize, metrics: Option<&ScatterMetrics>, task: F)
     where
         F: Fn(u32, usize) + Sync,
     {
-        let n = graph.task_count();
+        let n = self.task_count();
         if n == 0 {
             return;
         }
-        let threads = self.threads.min(n);
-        let pending: Vec<AtomicU32> = graph
-            .indegree()
-            .iter()
-            .map(|&d| AtomicU32::new(d))
-            .collect();
+        let threads = threads.clamp(1, n);
+        let pending: Vec<AtomicU32> = self.indegree().iter().map(|&d| AtomicU32::new(d)).collect();
         let deques: Vec<Mutex<VecDeque<u32>>> =
             (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
         let completed = AtomicUsize::new(0);
@@ -322,7 +254,7 @@ impl TaskPool {
         {
             let mut dealt = 0usize;
             for t in 0..n {
-                if graph.indegree()[t] == 0 {
+                if self.indegree()[t] == 0 {
                     deques[dealt % threads].lock().unwrap().push_back(t as u32);
                     dealt += 1;
                 }
@@ -365,7 +297,7 @@ impl TaskPool {
                     m.add_busy_ns(w, s.elapsed().as_nanos() as u64);
                     m.tasks.inc();
                 }
-                for &d in graph.dependents_of(t as usize) {
+                for &d in self.dependents_of(t as usize) {
                     // AcqRel: the last decrement acquires every predecessor's
                     // release, so the dependent observes all their writes.
                     if pending[d as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -393,46 +325,14 @@ impl TaskPool {
     }
 }
 
-/// A [`TaskPool`] bundled with the conflict DAG of the current plan — what
-/// the force engine owns and rebuilds (the graph half) alongside the plan.
-#[derive(Debug)]
-pub struct TaskGraphRunner {
-    /// The validated worker pool; survives plan rebuilds.
-    pub pool: TaskPool,
-    /// The conflict DAG of the current plan; rebuilt with it.
-    pub graph: TaskGraph,
-}
-
-impl TaskGraphRunner {
-    /// Builds a runner for `plan`: validates a pool of `threads` workers and
-    /// derives the plan's conflict DAG.
-    ///
-    /// # Errors
-    /// Propagates [`TaskPool::new`] failures (the engine downgrades to
-    /// barriered SDC on them).
-    pub fn new(threads: usize, plan: &SdcPlan, sim_box: &SimBox) -> Result<TaskGraphRunner, PoolBuildError> {
-        let pool = TaskPool::new(threads)?;
-        let graph = TaskGraph::build(plan.decomposition(), sim_box);
-        Ok(TaskGraphRunner { pool, graph })
-    }
-
-    /// Re-derives the DAG for a rebuilt plan, keeping the pool.
-    pub fn rebuild(&mut self, plan: &SdcPlan, sim_box: &SimBox) {
-        self.graph = TaskGraph::build(plan.decomposition(), sim_box);
-    }
-}
-
-/// Dependency-driven scatter over a half list: the taskgraph analogue of
-/// `scatter_sdc_indexed_metered`, same kernel contract (each stored pair
-/// visited exactly once, slot = its half-list storage index).
-///
-/// Safety of the unsynchronized [`SharedSlice`] writes: unordered task pairs
-/// have disjoint write footprints (debug builds verify this exhaustively via
-/// [`TaskGraph::validate_independence`]); ordered pairs never run
-/// concurrently, and the completion protocol's release/acquire chain makes
-/// the earlier task's writes visible to the later one.
-pub fn scatter_taskgraph_indexed_metered<V: ScatterValue>(
-    runner: &TaskGraphRunner,
+/// Dependency-driven scatter over a half list on `threads` workers: the
+/// task-graph schedule of the SDC subdomain sweep, same kernel contract as
+/// [`crate::strategies::sdc::scatter_sdc`] (each stored pair visited exactly
+/// once, slot = its half-list storage index). `graph` must be the conflict
+/// DAG of `plan`'s decomposition.
+pub fn scatter_taskgraph<V: ScatterValue>(
+    threads: usize,
+    graph: &TaskGraph,
     plan: &SdcPlan,
     half: &Csr,
     out: &mut [V],
@@ -440,43 +340,18 @@ pub fn scatter_taskgraph_indexed_metered<V: ScatterValue>(
     metrics: Option<&ScatterMetrics>,
 ) {
     debug_assert!(
-        runner.graph.validate_independence(plan, half).is_ok(),
+        graph.validate_independence(plan, half).is_ok(),
         "task graph out of sync with the plan: {:?}",
-        runner.graph.validate_independence(plan, half)
+        graph.validate_independence(plan, half)
     );
-    let offsets = half.offsets();
     let shared = SharedSlice::new(out);
-    runner.pool.run_metered(&runner.graph, metrics, |s, _worker| {
-        let sh = &shared;
-        for &i in plan.atoms_of(s as usize) {
-            let i = i as usize;
-            let base = offsets[i] as usize;
-            for (k, &j) in half.row(i).iter().enumerate() {
-                if let Some(t) = kernel(base + k, i, j as usize) {
-                    // SAFETY: i is owned by task s; j is a list neighbor of
-                    // i, hence inside s's write footprint. Tasks whose
-                    // footprints can overlap are ordered by an edge (checked
-                    // above), so no concurrent task touches these elements.
-                    unsafe {
-                        sh.get_mut(i).add(t.to_i);
-                        sh.get_mut(j as usize).add(t.to_j);
-                    }
-                }
-            }
-        }
+    graph.run(threads, metrics, |s, _worker| {
+        // SAFETY: tasks not ordered by an edge have disjoint write
+        // footprints (checked above); ordered tasks never run concurrently,
+        // and the completion protocol's release/acquire chain makes the
+        // earlier task's writes visible to the later one.
+        unsafe { sweep_subdomain(plan, half, &shared, s as usize, kernel) }
     });
-}
-
-/// [`scatter_taskgraph_indexed_metered`] with a plain (unindexed) kernel.
-pub fn scatter_taskgraph_metered<V: ScatterValue>(
-    runner: &TaskGraphRunner,
-    plan: &SdcPlan,
-    half: &Csr,
-    out: &mut [V],
-    kernel: &(impl Fn(usize, usize) -> Option<PairTerm<V>> + Sync),
-    metrics: Option<&ScatterMetrics>,
-) {
-    scatter_taskgraph_indexed_metered(runner, plan, half, out, &|_, i, j| kernel(i, j), metrics);
 }
 
 #[cfg(test)]
@@ -606,43 +481,152 @@ mod tests {
         }
     }
 
-    #[test]
-    fn two_workers_run_two_tasks_at_once() {
-        // 26 cells: 216 tasks over 8 colors, ~22 ms of spinning in all.
-        let bx = LatticeSpec::bcc_fe(26).sim_box();
-        let decomp = ColoredDecomposition::new(&bx, DecompositionConfig::new(3, RANGE)).unwrap();
-        let graph = TaskGraph::build(&decomp, &bx);
-        let pool = TaskPool::new(2).unwrap();
-        let in_flight = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        pool.run_metered(&graph, None, |_, _| {
-            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
+    /// Per-element ownership check for the subdomain sweep on real threads:
+    /// each running task claims every element it writes, and a claim held
+    /// by another task is a cross-task write inside one color or one ready
+    /// set.
+    struct Owners {
+        /// 0 = free, otherwise the owning task id + 1.
+        owner: Vec<AtomicU32>,
+        conflicts: AtomicUsize,
+        in_flight: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    impl Owners {
+        fn new(n: usize) -> Owners {
+            Owners {
+                owner: (0..n).map(|_| AtomicU32::new(0)).collect(),
+                conflicts: AtomicUsize::new(0),
+                in_flight: AtomicUsize::new(0),
+                peak: AtomicUsize::new(0),
+            }
+        }
+
+        fn claim(&self, e: usize, id: u32) -> bool {
+            match self.owner[e].compare_exchange(0, id, Ordering::SeqCst, Ordering::SeqCst) {
+                Ok(_) => true,
+                Err(held) => held == id,
+            }
+        }
+
+        /// Runs subdomain `s` as one task through the shared sweep. A pair
+        /// whose elements another running task holds is counted and not
+        /// written; the claims are released when the task ends.
+        fn task(&self, plan: &SdcPlan, half: &Csr, out: &SharedSlice<'_, f64>, s: usize) {
+            let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            // Until two tasks have overlapped once, hold the first one
+            // until a second starts (bounded): a schedule that runs tasks
+            // side by side gets there, a serializing one times out.
             let start = Instant::now();
-            while start.elapsed().as_micros() < 200 {
-                peak.fetch_max(in_flight.load(Ordering::SeqCst), Ordering::SeqCst);
+            while self.peak.load(Ordering::SeqCst) < 2 && start.elapsed().as_secs() < 2 {
+                self.peak
+                    .fetch_max(self.in_flight.load(Ordering::SeqCst), Ordering::SeqCst);
                 std::hint::spin_loop();
             }
-            in_flight.fetch_sub(1, Ordering::SeqCst);
+            let id = s as u32 + 1;
+            let kernel = |_: usize, i: usize, j: usize| {
+                if self.claim(i, id) && self.claim(j, id) {
+                    Some(PairTerm::symmetric(1.0))
+                } else {
+                    self.conflicts.fetch_add(1, Ordering::SeqCst);
+                    None
+                }
+            };
+            // SAFETY: a pair is written only after both of its elements
+            // were claimed for this task, and a claim shuts every other
+            // task out of the element until the release below.
+            unsafe { sweep_subdomain(plan, half, out, s, &kernel) };
+            for &i in plan.atoms_of(s) {
+                for &e in std::iter::once(&i).chain(half.row(i as usize)) {
+                    let _ = self.owner[e as usize].compare_exchange(
+                        id,
+                        0,
+                        Ordering::SeqCst,
+                        Ordering::SeqCst,
+                    );
+                }
+            }
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Runs one schedule over `plan` with the ownership check on every
+    /// task; returns the check and the scattered per-atom pair counts.
+    fn owned_sweep(
+        plan: &SdcPlan,
+        half: &Csr,
+        schedule: impl FnOnce(&(dyn Fn(usize) + Sync)),
+    ) -> (Owners, Vec<f64>) {
+        let owners = Owners::new(half.rows());
+        let mut out = vec![0.0f64; half.rows()];
+        {
+            let shared = SharedSlice::new(&mut out);
+            schedule(&|s| owners.task(plan, half, &shared, s));
+        }
+        (owners, out)
+    }
+
+    #[test]
+    fn subdomain_sweep_never_shares_an_element_between_running_tasks() {
+        // 3-D, 17 cells: 64 tasks, 8 per color, so two workers always have
+        // same-color (barrier) or unordered (DAG) tasks to run side by side.
+        let (bx, _, nl, plan) = fixture(17, 3);
+        let half = nl.csr();
+        let full = nl.to_full();
+        let degree: Vec<f64> = (0..half.rows())
+            .map(|i| full.neighbors(i).len() as f64)
+            .collect();
+        let graph = TaskGraph::build(plan.decomposition(), &bx);
+        let ctx = crate::ParallelContext::new(2);
+        let by_color = owned_sweep(&plan, half, |task| {
+            crate::strategies::sdc::run_by_color(&ctx, &plan, None, task)
         });
-        assert_eq!(
-            peak.load(Ordering::SeqCst),
-            2,
-            "{} tasks on 2 workers never overlapped",
-            graph.task_count()
+        let by_graph = owned_sweep(&plan, half, |task| {
+            graph.run(2, None, |s, _| task(s as usize))
+        });
+        for (name, (owners, out)) in [("barrier", by_color), ("graph", by_graph)] {
+            assert_eq!(
+                owners.conflicts.load(Ordering::SeqCst),
+                0,
+                "{name}: cross-task write"
+            );
+            assert_eq!(
+                owners.peak.load(Ordering::SeqCst),
+                2,
+                "{name}: tasks never overlapped"
+            );
+            assert_eq!(out, degree, "{name}: a pair was skipped or repeated");
+        }
+        // Negative control: without conflict edges adjacent subdomains run
+        // side by side and the check must catch their shared halo atoms.
+        let n = graph.task_count();
+        let edgeless = TaskGraph {
+            dep_offsets: vec![0; n + 1],
+            dependents: vec![],
+            indegree: vec![0; n],
+            order: (0..n as u32).collect(),
+        };
+        let (owners, _) = owned_sweep(&plan, half, |task| {
+            edgeless.run(2, None, |s, _| task(s as usize))
+        });
+        assert_eq!(owners.peak.load(Ordering::SeqCst), 2);
+        assert!(
+            owners.conflicts.load(Ordering::SeqCst) > 0,
+            "an edgeless graph must trip the ownership check"
         );
     }
 
     #[test]
-    fn pool_runs_every_task_once_in_dependency_order() {
+    fn run_executes_every_task_once_in_dependency_order() {
         let (bx, _, _, plan) = fixture(17, 3);
         let graph = TaskGraph::build(plan.decomposition(), &bx);
         let n = graph.task_count();
         for threads in [1usize, 2, 4, 7] {
-            let pool = TaskPool::new(threads).unwrap();
             let runs: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
             let finish_order = Mutex::new(Vec::new());
-            pool.run_metered(&graph, None, |t, w| {
+            graph.run(threads, None, |t, w| {
                 assert!(w < threads);
                 runs[t as usize].fetch_add(1, Ordering::SeqCst);
                 finish_order.lock().unwrap().push(t);
@@ -668,32 +652,29 @@ mod tests {
     }
 
     #[test]
-    fn pool_construction_failures() {
-        assert!(TaskPool::new(0).is_err());
-        inject_pool_failure(true);
-        let err = TaskPool::new(2).unwrap_err();
-        assert!(err.to_string().contains("injected"), "{err}");
-        // The injection is consumed: the next build succeeds.
-        assert!(TaskPool::new(2).is_ok());
-    }
-
-    #[test]
     fn scatter_matches_sdc_bitwise() {
         for dims in 1..=3 {
             let (bx, pos, nl, plan) = fixture(17, dims);
-            let kernel = |i: usize, j: usize| {
+            let kernel = |_: usize, i: usize, j: usize| {
                 let r2 = bx.distance_sq(pos[i], pos[j]);
                 (r2 < CUTOFF * CUTOFF).then(|| PairTerm::symmetric(1.0 / (1.0 + r2)))
             };
             let mut reference = vec![0.0f64; pos.len()];
             let ctx = crate::ParallelContext::new(2);
-            crate::strategies::sdc::scatter_sdc(&ctx, &plan, nl.csr(), &mut reference, &kernel);
+            crate::strategies::sdc::scatter_sdc(
+                &ctx,
+                &plan,
+                nl.csr(),
+                &mut reference,
+                &kernel,
+                None,
+            );
+            let graph = TaskGraph::build(plan.decomposition(), &bx);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for threads in [1usize, 2, 4, 8] {
-                let runner = TaskGraphRunner::new(threads, &plan, &bx).unwrap();
                 for _ in 0..2 {
                     let mut got = vec![0.0f64; pos.len()];
-                    scatter_taskgraph_metered(&runner, &plan, nl.csr(), &mut got, &kernel, None);
+                    scatter_taskgraph(threads, &graph, &plan, nl.csr(), &mut got, &kernel, None);
                     assert_eq!(
                         bits(&reference),
                         bits(&got),
@@ -707,22 +688,25 @@ mod tests {
     #[test]
     fn metered_scatter_counts_every_task() {
         let (bx, pos, nl, plan) = fixture(17, 3);
-        let runner = TaskGraphRunner::new(4, &plan, &bx).unwrap();
+        let graph = TaskGraph::build(plan.decomposition(), &bx);
         let metrics = ScatterMetrics::new(4);
         let mut out = vec![0.0f64; pos.len()];
-        scatter_taskgraph_metered(
-            &runner,
+        scatter_taskgraph(
+            4,
+            &graph,
             &plan,
             nl.csr(),
             &mut out,
-            &|_, _| Some(PairTerm::symmetric(1.0)),
+            &|_, _, _| Some(PairTerm::symmetric(1.0)),
             Some(&metrics),
         );
         let n = plan.decomposition().subdomain_count() as u64;
         assert_eq!(metrics.tasks.get(), n, "every task completion counted");
         assert_eq!(metrics.ready_latency.count(), n);
         assert_eq!(metrics.color_barriers.get(), 0, "no color barriers here");
-        let busy: u64 = (0..metrics.threads()).map(|w| metrics.thread_busy_ns[w].get()).sum();
-        assert!(busy > 0, "busy time attributed to pool workers");
+        let busy: u64 = (0..metrics.threads())
+            .map(|w| metrics.thread_busy_ns[w].get())
+            .sum();
+        assert!(busy > 0, "busy time attributed to the graph workers");
     }
 }

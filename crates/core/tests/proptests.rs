@@ -42,7 +42,7 @@ proptest! {
         // Contributions are small integers scaled by powers of two: exact
         // under any summation order, so equality must be bitwise. The
         // function is symmetric in (i, j), as the Redundant gather requires.
-        let kernel = |i: usize, j: usize| {
+        let kernel = |_: usize, i: usize, j: usize| {
             Some(PairTerm::symmetric(
                 ((i + j) * 7 % 32) as f64 * 0.125 + (i * j % 8) as f64 * 0.25,
             ))
@@ -52,8 +52,6 @@ proptest! {
         let ctx = ParallelContext::new(threads);
         for kind in [
             StrategyKind::Critical,
-            StrategyKind::Atomic,
-            StrategyKind::Locks,
             StrategyKind::Privatized,
             StrategyKind::Redundant,
         ] {
@@ -62,7 +60,6 @@ proptest! {
                 half: &half,
                 full: Some(&full),
                 plan: None,
-                localwrite: None,
                 metrics: None,
                 sap: None,
                 taskgraph: None,
@@ -81,7 +78,7 @@ proptest! {
         let half = half_graph(n, &raw);
         let full = half.symmetrized();
         // Antisymmetric (force-like) kernel with exact values.
-        let kernel = |i: usize, j: usize| {
+        let kernel = |_: usize, i: usize, j: usize| {
             let v = ((i % 8) as f64 - (j % 8) as f64) * 0.25;
             Some(PairTerm { to_i: v, to_j: -v })
         };
@@ -93,7 +90,6 @@ proptest! {
             half: &half,
             full: Some(&full),
             plan: None,
-            localwrite: None,
             metrics: None,
             sap: None,
             taskgraph: None,

@@ -26,9 +26,6 @@
 //! | Serial | `pairs·c_pair` |
 //! | SDC | `Σ_colors ceil(tasks_c/P)·w·ovh(P) + colors·barrier(P)` — round-based makespan of equal subdomain tasks, plus one barrier per color |
 //! | CS | `W/P·ovh(P) + pairs·c_lock·(1 + λ(P−1))` — compute scales, lock traffic is serialized and degrades with contention |
-//! | Atomic | `W/P·ovh(P) + pairs·c_atomic·(1 + λₐ(P−1))` |
-//! | Locks | `W/P·ovh(P) + pairs·2c_lock·(1 + λₐ(P−1))/P` — striped locks parallelize but pay two lock round-trips per pair |
-//! | LOCALWRITE | `W·(1 + boundary_frac)/P·ovh(P) + barrier(P)` — class 3: no sync, boundary pairs computed twice |
 //! | SAP | `W/P·ovh(P)·(1 + σ(P−1)) + N·c_zero + P·N·c_merge` — private-copy cache pressure plus the serialized merge |
 //! | RC | `κ_rc·W/P·ovh(P) + barrier(P)` — doubled pair work, one barrier |
 //!

@@ -38,10 +38,6 @@ pub struct MachineParams {
     pub lock_cost: f64,
     /// Lock handoff degradation λ: lock cost scales by `1 + λ(P−1)`.
     pub lock_contention: f64,
-    /// Cost of one CAS-loop atomic update.
-    pub atomic_cost: f64,
-    /// Atomic retry degradation (scales like the lock term, much weaker).
-    pub atomic_contention: f64,
     /// SAP: merge cost per array element per thread copy (serialized).
     pub merge_cost: f64,
     /// SAP: private-array zeroing cost per element.
@@ -60,10 +56,6 @@ pub struct MachineParams {
     /// work-stealing). OpenMP static scheduling with equal tasks sits in
     /// between.
     pub round_overlap: f64,
-    /// LOCALWRITE: boundary-pair fraction of an index-chunked partitioning
-    /// (the class-3 redundant work; the inspector itself is amortized over
-    /// list rebuilds like the SDC plan).
-    pub lw_boundary_frac: f64,
     /// RC: work multiplier versus the half-list sweep (the paper: "there is
     /// two-fold computation work for the force calculations in RC method").
     pub rc_work: f64,
@@ -115,14 +107,11 @@ impl Default for MachineParams {
             barrier_log: 1.5e-6,
             lock_cost: 30e-9,
             lock_contention: 0.12,
-            atomic_cost: 12e-9,
-            atomic_contention: 0.02,
             merge_cost: 20e-9,
             zero_cost: 1e-9,
             sap_cache: 0.05,
             halo_kappa: 0.02,
             round_overlap: 0.5,
-            lw_boundary_frac: 0.25,
             rc_work: 2.0,
             sweeps: 2,
             cores_per_socket: 4,

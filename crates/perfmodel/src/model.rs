@@ -83,26 +83,6 @@ pub fn predict_seconds(
             let locked = case.pairs * m.lock_cost * (1.0 + m.lock_contention * (p - 1.0));
             Some(sweeps * (w_sweep / p * ovh + locked))
         }
-        StrategyKind::Atomic => {
-            let synced = case.pairs * m.atomic_cost * (1.0 + m.atomic_contention * (p - 1.0));
-            Some(sweeps * (w_sweep / p * ovh + synced) + sweeps * m.barrier(threads))
-        }
-        StrategyKind::Locks => {
-            // Two uncontended lock round-trips per pair, spread over the
-            // stripe pool; contention grows slowly (collision probability
-            // ~ P / stripes) — parallelizable but overhead-heavy.
-            let synced = case.pairs
-                * (2.0 * m.lock_cost)
-                * (1.0 + m.atomic_contention * (p - 1.0))
-                / p;
-            Some(sweeps * (w_sweep / p * ovh + synced) + sweeps * m.barrier(threads))
-        }
-        StrategyKind::LocalWrite => {
-            // Boundary pairs cost a second kernel evaluation; writes need
-            // no synchronization at all (one barrier per sweep).
-            let work = w_sweep * (1.0 + m.lw_boundary_frac);
-            Some(sweeps * (work / p * ovh + m.barrier(threads)))
-        }
         StrategyKind::Privatized => {
             let compute = w_sweep / p * ovh * (1.0 + m.sap_cache * (p - 1.0));
             let init = case.n_atoms as f64 * m.zero_cost;
@@ -329,16 +309,6 @@ mod tests {
         let small = sp(1, SDC2, 16).unwrap();
         let large = sp(4, SDC2, 16).unwrap();
         assert!(large > small, "large {large} vs small {small}");
-    }
-
-    #[test]
-    fn atomic_sits_between_cs_and_sdc() {
-        for p in [4, 16] {
-            let cs = sp(3, StrategyKind::Critical, p).unwrap();
-            let at = sp(3, StrategyKind::Atomic, p).unwrap();
-            let sdc = sp(3, SDC2, p).unwrap();
-            assert!(cs < at && at < sdc, "P={p}: {cs} < {at} < {sdc} violated");
-        }
     }
 
     #[test]

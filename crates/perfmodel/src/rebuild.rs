@@ -44,10 +44,10 @@ pub fn rebuild_seconds(
 /// Predicted seconds per time-step **including** the amortized rebuild:
 /// sweep phases from the strategy model plus `rebuild / rebuild_every`.
 ///
-/// `parallel_rebuild` selects the list-build path; the sweep strategy and
-/// the rebuild path are independent knobs, matching the engine
-/// (`ForceEngine::set_parallel_list`). Returns `None` exactly when the base
-/// model does (blank Table-1 cells).
+/// `parallel_rebuild` selects the modeled list-build path independently of
+/// the sweep strategy; the engine itself builds in parallel exactly when it
+/// runs more than one thread. Returns `None` exactly when the base model
+/// does (blank Table-1 cells).
 pub fn predict_step_with_rebuild(
     m: &MachineParams,
     case: &CaseGeometry,

@@ -118,6 +118,8 @@ pub(crate) struct BalanceState {
     pub(crate) last_busy_ns: u64,
     /// Cumulative color barriers at the last calibration.
     pub(crate) last_barriers: u64,
+    /// Cumulative task-graph task completions at the last calibration.
+    pub(crate) last_tasks: u64,
 }
 
 impl BalanceState {
@@ -175,6 +177,7 @@ mod tests {
             events: Vec::new(),
             last_busy_ns: 0,
             last_barriers: 0,
+            last_tasks: 0,
         };
         let m = state.machine();
         assert_eq!(m.pair_cost, 99e-9);

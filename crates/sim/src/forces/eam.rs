@@ -183,7 +183,7 @@ impl ForceEngine {
             // Phase 1: electron densities.
             timers.time(Phase::Density, || {
                 rho.fill(0.0);
-                let kernel = |i: usize, j: usize| {
+                let kernel = |_: usize, i: usize, j: usize| {
                     let d = sim_box.min_image(pos[i], pos[j]);
                     let r2 = d.norm_sq();
                     if r2 >= rc2 {
@@ -221,7 +221,7 @@ impl ForceEngine {
             timers.time(Phase::Force, || {
                 forces.fill(Vec3::ZERO);
                 let fp_ro: &[f64] = fp;
-                let kernel = |i: usize, j: usize| {
+                let kernel = |_: usize, i: usize, j: usize| {
                     let d = sim_box.min_image(pos[i], pos[j]);
                     let r2 = d.norm_sq();
                     if r2 >= rc2 {
@@ -318,7 +318,7 @@ impl ForceEngine {
                     // rows do not advance CSR offsets, so the span's first
                     // executed pair always carries it, and no later pair
                     // can (slots ascend within a row). Accumulation stays
-                    // inside `run_indexed`, in exactly the order of the
+                    // inside `run`, in exactly the order of the
                     // scalar kernel below — hence bitwise-identical rho.
                     let replay = |rec: &PairRecord| {
                         if rec.r < 0.0 {
@@ -346,7 +346,7 @@ impl ForceEngine {
                             // distinct tasks are disjoint.
                             replay(unsafe { &*records.get_mut(slot) })
                         };
-                        exec.run_indexed(strategy, rho, &kernel);
+                        exec.run(strategy, rho, &kernel);
                     } else {
                         // Parallel strategies own whole rows, but a
                         // subdomain boundary can split a cluster between
@@ -367,7 +367,7 @@ impl ForceEngine {
                             // SAFETY: as above — row spans are disjoint.
                             replay(unsafe { &*records.get_mut(slot) })
                         };
-                        exec.run_indexed(strategy, rho, &kernel);
+                        exec.run(strategy, rho, &kernel);
                     }
                 } else {
                     let records = SharedSlice::new(&mut scratch);
@@ -376,7 +376,7 @@ impl ForceEngine {
                         let r2 = d.norm_sq();
                         if r2 >= rc2 {
                             if slot != NO_SLOT {
-                                // SAFETY: run_indexed visits each real slot
+                                // SAFETY: run visits each real slot
                                 // exactly once per sweep, from one task.
                                 unsafe { records.get_mut(slot).r = -1.0 };
                             }
@@ -392,7 +392,7 @@ impl ForceEngine {
                         }
                         Some(PairTerm::symmetric(f))
                     };
-                    exec.run_indexed(strategy, rho, &kernel);
+                    exec.run(strategy, rho, &kernel);
                 }
             });
 
@@ -479,7 +479,7 @@ impl ForceEngine {
                     // F_i = −dE/dr · r̂, r̂ = (r_i − r_j)/r; Newton gives −F to j.
                     Some(PairTerm::newton(d * (-scalar / r)))
                 };
-                exec.run_indexed(strategy, forces, &kernel);
+                exec.run(strategy, forces, &kernel);
             });
         }
         *self.scratch_mut() = scratch;
@@ -698,18 +698,7 @@ mod tests {
     #[test]
     fn all_strategies_compute_identical_physics() {
         let mut reference: Option<(Vec<f64>, Vec<Vec3>)> = None;
-        for strategy in [
-            StrategyKind::Serial,
-            StrategyKind::Sdc { dims: 1 },
-            StrategyKind::Sdc { dims: 2 },
-            StrategyKind::Sdc { dims: 3 },
-            StrategyKind::Critical,
-            StrategyKind::Atomic,
-            StrategyKind::Locks,
-            StrategyKind::LocalWrite,
-            StrategyKind::Privatized,
-            StrategyKind::Redundant,
-        ] {
+        for strategy in StrategyKind::all() {
             let (mut system, mut eng) = fe_engine(9, strategy, 3);
             rattle(&mut system, 0.05);
             eng.rebuild(&system);
@@ -939,12 +928,12 @@ mod tests {
 
     #[test]
     fn simd_flag_is_inert_on_strategies_without_slots() {
-        // Atomic's sweep hands out NO_SLOT: the flag must gate itself off
+        // SAP's sweep hands out NO_SLOT: the flag must gate itself off
         // and the physics must match the scalar fused path exactly.
-        let (mut sys_v, mut eng_v) = fe_engine(7, StrategyKind::Atomic, 2);
+        let (mut sys_v, mut eng_v) = fe_engine(7, StrategyKind::Privatized, 2);
         rattle(&mut sys_v, 0.05);
         let mut sys_s = sys_v.clone();
-        let (_, mut eng_s) = fe_engine(7, StrategyKind::Atomic, 2);
+        let (_, mut eng_s) = fe_engine(7, StrategyKind::Privatized, 2);
         eng_s.set_simd(false);
         eng_v.rebuild(&sys_v);
         eng_s.rebuild(&sys_s);

@@ -24,11 +24,10 @@ use md_neighbor::{ClusterList, NeighborList, VerletConfig};
 use md_perfmodel::ObservedImbalance;
 use md_potential::{EamPotential, PairPotential};
 use sdc_core::schedule::{self, PlanChoice};
-use sdc_core::strategies::localwrite::LocalWritePlan;
 use sdc_core::strategies::privatized::SapBuffers;
 use sdc_core::{
     ColorSchedule, DecompositionConfig, DecompositionError, DowngradeEvent, ParallelContext,
-    ScatterExec, SdcPlan, StrategyKind, TaskGraph, TaskGraphRunner,
+    ScatterExec, SdcPlan, StrategyKind, TaskGraph,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -93,23 +92,15 @@ impl From<DecompositionError> for EngineError {
     }
 }
 
-/// LOCALWRITE partition count: several chunks per worker so the scheduler
-/// can balance, without inflating the boundary-pair fraction.
-fn localwrite_partitions(threads: usize) -> usize {
-    (threads * 4).max(4)
-}
-
 /// A configured force computation pipeline.
 pub struct ForceEngine {
     potential: PotentialChoice,
     strategy: StrategyKind,
     ctx: ParallelContext,
     verlet: VerletConfig,
-    parallel_list: bool,
     half: NeighborList,
     full: Option<NeighborList>,
     plan: Option<SdcPlan>,
-    localwrite: Option<LocalWritePlan>,
     timers: PhaseTimers,
     rebuilds: usize,
     downgrades: Vec<DowngradeEvent>,
@@ -120,7 +111,7 @@ pub struct ForceEngine {
     clusters: Option<ClusterList>,
     sap: SapBuffers,
     balance: Option<BalanceState>,
-    taskgraph: Option<TaskGraphRunner>,
+    taskgraph: Option<TaskGraph>,
     graph_requested: bool,
 }
 
@@ -155,16 +146,11 @@ fn choose_scatter_kind(
     }
 }
 
-/// Builds the half list on `ctx`'s pool when `parallel` is set, serially
-/// otherwise. [`NeighborList::build_parallel`] is bitwise-identical to the
-/// serial build, so the choice never changes a trajectory.
-fn build_half_list(
-    ctx: &ParallelContext,
-    parallel: bool,
-    system: &System,
-    verlet: VerletConfig,
-) -> NeighborList {
-    if parallel && ctx.threads() > 1 {
+/// Builds the half list on `ctx`'s pool when it has more than one worker,
+/// serially otherwise. [`NeighborList::build_parallel`] is bitwise-identical
+/// to the serial build, so the choice never changes a trajectory.
+fn build_half_list(ctx: &ParallelContext, system: &System, verlet: VerletConfig) -> NeighborList {
+    if ctx.threads() > 1 {
         ctx.install(|| NeighborList::build_parallel(system.sim_box(), system.positions(), verlet))
     } else {
         NeighborList::build(system.sim_box(), system.positions(), verlet)
@@ -196,50 +182,26 @@ impl ForceEngine {
             )?),
             None => None,
         };
-        // The taskgraph strategy additionally needs a work-stealing pool; a
-        // pool that cannot be built is not fatal — the engine falls back to
-        // the barriered SDC reference on the same decomposition and records
-        // the downgrade.
-        let mut strategy = strategy;
+        // The taskgraph strategy additionally needs the plan's conflict DAG.
         let graph_requested = matches!(strategy, StrategyKind::TaskGraph { .. });
-        let mut downgrades = Vec::new();
-        let mut taskgraph = None;
-        if let StrategyKind::TaskGraph { dims } = strategy {
-            let p = plan.as_ref().expect("taskgraph strategy builds a plan");
-            match TaskGraphRunner::new(threads, p, system.sim_box()) {
-                Ok(runner) => taskgraph = Some(runner),
-                Err(err) => {
-                    let to = StrategyKind::Sdc { dims };
-                    downgrades.push(DowngradeEvent {
-                        from: strategy,
-                        to,
-                        reason: err.to_string(),
-                    });
-                    strategy = to;
-                }
-            }
-        }
-        let graph_requested = graph_requested && taskgraph.is_some();
+        let taskgraph = plan
+            .as_ref()
+            .filter(|_| graph_requested)
+            .map(|p| TaskGraph::build(p.decomposition(), system.sim_box()));
         let ctx = ParallelContext::new(threads);
-        let parallel_list = threads > 1;
-        let half = build_half_list(&ctx, parallel_list, system, verlet);
+        let half = build_half_list(&ctx, system, verlet);
         let full = strategy.needs_full_list().then(|| half.to_full());
-        let localwrite = strategy
-            .needs_localwrite_plan()
-            .then(|| LocalWritePlan::build(half.csr(), localwrite_partitions(threads)));
         Ok(ForceEngine {
             potential,
             strategy,
             ctx,
             verlet,
-            parallel_list,
             half,
             full,
             plan,
-            localwrite,
             timers: PhaseTimers::new(),
             rebuilds: 0,
-            downgrades,
+            downgrades: Vec::new(),
             metrics: None,
             fused: true,
             simd: true,
@@ -270,9 +232,6 @@ impl ForceEngine {
         loop {
             match ForceEngine::new(system, potential.clone(), kind, threads, skin) {
                 Ok(mut engine) => {
-                    // Keep downgrades new() itself recorded (e.g. taskgraph
-                    // pool-construction fallback) after the chain's steps.
-                    events.append(&mut engine.downgrades);
                     engine.downgrades = events;
                     return Ok(engine);
                 }
@@ -355,18 +314,6 @@ impl ForceEngine {
         self.rebuilds
     }
 
-    /// Whether neighbor-list rebuilds run on the thread pool. Defaults to
-    /// `threads > 1`; the output is identical either way.
-    #[inline]
-    pub fn parallel_list(&self) -> bool {
-        self.parallel_list
-    }
-
-    /// Forces neighbor-list rebuilds onto the serial (or parallel) path.
-    pub fn set_parallel_list(&mut self, parallel: bool) {
-        self.parallel_list = parallel;
-    }
-
     /// Every strategy downgrade recorded so far — at construction (via
     /// [`ForceEngine::with_fallback`]) or mid-run when a rebuild found the
     /// configured decomposition no longer feasible. Empty in the common case.
@@ -425,11 +372,12 @@ impl ForceEngine {
             threads,
             &params,
         );
-        let (mut last_busy_ns, mut last_barriers) = (0, 0);
+        let (mut last_busy_ns, mut last_barriers, mut last_tasks) = (0, 0, 0);
         if let Some(m) = &self.metrics {
             m.scatter.planned_imbalance.set(best.choice.predicted_imbalance);
             last_busy_ns = m.scatter.thread_busy_ns.iter().map(|c| c.get()).sum();
             last_barriers = m.scatter.color_barriers.get();
+            last_tasks = m.scatter.tasks.get();
         }
         self.plan = Some(best.plan);
         self.balance = Some(BalanceState {
@@ -439,6 +387,7 @@ impl ForceEngine {
             events: Vec::new(),
             last_busy_ns,
             last_barriers,
+            last_tasks,
         });
         self.sync_taskgraph(system);
         true
@@ -487,15 +436,21 @@ impl ForceEngine {
         };
         let busy: u64 = m.scatter.thread_busy_ns.iter().map(|c| c.get()).sum();
         let barriers = m.scatter.color_barriers.get();
+        let tasks = m.scatter.tasks.get();
         let delta_busy = busy.saturating_sub(state.last_busy_ns);
         let delta_barriers = barriers.saturating_sub(state.last_barriers);
+        let delta_tasks = tasks.saturating_sub(state.last_tasks);
         state.last_busy_ns = busy;
         state.last_barriers = barriers;
+        state.last_tasks = tasks;
         let colors = plan.decomposition().color_count() as u64;
-        if colors == 0 || delta_busy == 0 {
+        let subdomains = plan.decomposition().subdomain_count() as u64;
+        if colors == 0 || subdomains == 0 || delta_busy == 0 {
             return;
         }
-        let sweeps = delta_barriers / colors;
+        // A barriered sweep ticks one barrier per color, a task-graph sweep
+        // one task per subdomain.
+        let sweeps = delta_barriers / colors + delta_tasks / subdomains;
         let pair_visits = sweeps * self.half.entries() as u64;
         if pair_visits == 0 {
             return;
@@ -669,7 +624,7 @@ impl ForceEngine {
         // One `Phase::Neighbor` span covers the whole rebuild: list, plan,
         // balancer pass and task graph.
         let start = Instant::now();
-        let half = build_half_list(&self.ctx, self.parallel_list, system, verlet);
+        let half = build_half_list(&self.ctx, system, verlet);
         self.plan = loop {
             let Some(dims) = strategy.plan_dims() else {
                 break None;
@@ -694,9 +649,6 @@ impl ForceEngine {
             }
         };
         self.full = strategy.needs_full_list().then(|| half.to_full());
-        self.localwrite = strategy.needs_localwrite_plan().then(|| {
-            LocalWritePlan::build(half.csr(), localwrite_partitions(self.ctx.threads()))
-        });
         self.strategy = strategy;
         self.half = half;
         // The cluster grouping indexes the outgoing list's slot spans; the
@@ -715,37 +667,15 @@ impl ForceEngine {
     }
 
     /// Re-derives the dependency graph from the current plan when the
-    /// taskgraph strategy is active, (re)building the work-stealing pool if
-    /// a rebalance just switched the engine onto the graph path. A pool that
-    /// cannot be built downgrades to barriered SDC on the same decomposition
-    /// — the same [`DowngradeEvent`] fallback as at construction — and stops
-    /// requesting the graph. When the strategy left the graph path, the
-    /// runner is dropped.
+    /// taskgraph strategy is active (a rebalance may just have switched the
+    /// engine onto the graph path), and drops it otherwise.
     fn sync_taskgraph(&mut self, system: &System) {
-        if let StrategyKind::TaskGraph { dims } = self.strategy {
-            let plan = self
-                .plan
-                .as_ref()
-                .expect("taskgraph strategy keeps a plan");
-            match self.taskgraph.as_mut() {
-                Some(runner) => runner.rebuild(plan, system.sim_box()),
-                None => match TaskGraphRunner::new(self.ctx.threads(), plan, system.sim_box()) {
-                    Ok(runner) => self.taskgraph = Some(runner),
-                    Err(err) => {
-                        let to = StrategyKind::Sdc { dims };
-                        self.downgrades.push(DowngradeEvent {
-                            from: self.strategy,
-                            to,
-                            reason: err.to_string(),
-                        });
-                        self.strategy = to;
-                        self.graph_requested = false;
-                    }
-                },
+        self.taskgraph = match (self.strategy, &self.plan) {
+            (StrategyKind::TaskGraph { .. }, Some(plan)) => {
+                Some(TaskGraph::build(plan.decomposition(), system.sim_box()))
             }
-        } else {
-            self.taskgraph = None;
-        }
+            _ => None,
+        };
     }
 
     /// Computes forces (and, for EAM, densities and embedding derivatives)
@@ -832,7 +762,7 @@ impl ForceEngine {
 
     /// Whether the fused EAM path batches spline evaluations through the
     /// lane-parallel kernels (the default). Only takes effect on strategies
-    /// whose indexed sweeps provide real slots
+    /// whose sweeps provide real slots
     /// ([`StrategyKind::provides_slots`]); elsewhere the scalar fused
     /// kernels run regardless of this flag.
     #[inline]
@@ -919,7 +849,6 @@ impl ForceEngine {
             half: self.half.csr(),
             full: self.full.as_ref().map(|f| f.csr()),
             plan: self.plan.as_ref(),
-            localwrite: self.localwrite.as_ref(),
             metrics: self.metrics.as_deref().map(|m| &m.scatter),
             sap: Some(&self.sap),
             taskgraph: self.taskgraph.as_ref(),
@@ -945,15 +874,6 @@ mod tests {
     use crate::units::FE_MASS;
     use md_geometry::LatticeSpec;
     use md_potential::AnalyticEam;
-
-    /// `inject_pool_failure` is a process-global consumed-on-next-build
-    /// hook; serialize every test that constructs a taskgraph pool so the
-    /// injection cannot be consumed by an unrelated build.
-    static POOL_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn pool_test_guard() -> std::sync::MutexGuard<'static, ()> {
-        POOL_TESTS.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     fn engine(strategy: StrategyKind) -> (System, ForceEngine) {
         let system = System::from_lattice(LatticeSpec::bcc_fe(6), FE_MASS);
@@ -1136,8 +1056,7 @@ mod tests {
     }
 
     #[test]
-    fn taskgraph_engine_builds_plan_and_runner_and_matches_sdc() {
-        let _g = pool_test_guard();
+    fn taskgraph_engine_builds_plan_and_graph_and_matches_sdc() {
         let mut sys = System::from_lattice(LatticeSpec::bcc_fe(9), FE_MASS);
         let pot = PotentialChoice::Eam(Arc::new(AnalyticEam::fe()));
         let mut eng =
@@ -1160,29 +1079,7 @@ mod tests {
     }
 
     #[test]
-    fn taskgraph_pool_failure_downgrades_to_barriered_sdc() {
-        let _g = pool_test_guard();
-        let mut sys = System::from_lattice(LatticeSpec::bcc_fe(9), FE_MASS);
-        let pot = PotentialChoice::Eam(Arc::new(AnalyticEam::fe()));
-        sdc_core::taskgraph::inject_pool_failure(true);
-        let mut eng =
-            ForceEngine::new(&sys, pot, StrategyKind::TaskGraph { dims: 1 }, 2, 0.3).unwrap();
-        assert_eq!(eng.strategy(), StrategyKind::Sdc { dims: 1 });
-        assert_eq!(eng.downgrades().len(), 1);
-        assert_eq!(eng.downgrades()[0].from, StrategyKind::TaskGraph { dims: 1 });
-        assert_eq!(eng.downgrades()[0].to, StrategyKind::Sdc { dims: 1 });
-        assert!(eng.downgrades()[0].reason.contains("pool"));
-        // The downgraded engine still computes, and a later rebuild does not
-        // resurrect the graph path (the downgrade is sticky).
-        eng.compute(&mut sys);
-        eng.rebuild(&sys);
-        assert_eq!(eng.strategy(), StrategyKind::Sdc { dims: 1 });
-        assert!(sys.forces().iter().all(|f| f.norm().is_finite()));
-    }
-
-    #[test]
     fn taskgraph_mid_run_shrink_downgrades_through_sdc() {
-        let _g = pool_test_guard();
         let mut sys = System::from_lattice(LatticeSpec::bcc_fe(9), FE_MASS);
         let pot = PotentialChoice::Eam(Arc::new(AnalyticEam::fe()));
         let mut eng =
@@ -1198,14 +1095,13 @@ mod tests {
 
     #[test]
     fn balance_accepts_the_taskgraph_strategy() {
-        let _g = pool_test_guard();
         let sys = System::from_lattice(LatticeSpec::bcc_fe(9), FE_MASS);
         let pot = PotentialChoice::Eam(Arc::new(AnalyticEam::fe()));
         let mut eng =
             ForceEngine::new(&sys, pot, StrategyKind::TaskGraph { dims: 3 }, 2, 0.3).unwrap();
         assert!(eng.enable_balance(&sys, crate::BalanceConfig::default()));
         // Whatever the chooser picked, it stays on the searched plan's dims
-        // and the engine remains computable with a consistent runner.
+        // and the engine remains computable with a consistent graph.
         let choice = eng.plan_choice().expect("balance is on");
         assert_eq!(eng.strategy().plan_dims(), Some(choice.dims));
         let mut s = sys.clone();

@@ -24,7 +24,7 @@ impl ForceEngine {
             let (sim_box, pos, _rho, _fp, forces) = system.eam_split_mut();
             timers.time(Phase::Force, || {
                 forces.fill(Vec3::ZERO);
-                let kernel = |i: usize, j: usize| {
+                let kernel = |_: usize, i: usize, j: usize| {
                     let d = sim_box.min_image(pos[i], pos[j]);
                     let r2 = d.norm_sq();
                     if r2 >= rc2 {

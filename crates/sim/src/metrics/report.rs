@@ -240,10 +240,6 @@ impl RunReport {
                         "lock_acquisitions",
                         JsonValue::num(scatter.lock_acquisitions.get() as f64),
                     ),
-                    (
-                        "lock_crossings",
-                        JsonValue::num(scatter.lock_crossings.get() as f64),
-                    ),
                     ("merges", JsonValue::num(scatter.merges.get() as f64)),
                     (
                         "merge_seconds",

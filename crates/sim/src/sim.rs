@@ -61,7 +61,7 @@ impl Simulation {
                 .needs_rebuild(self.system.sim_box(), self.system.positions())
         {
             let reach = self.engine.neighbor_list().config().reach();
-            if self.engine.parallel_list() && self.engine.threads() > 1 {
+            if self.engine.threads() > 1 {
                 let (system, engine) = (&mut self.system, &self.engine);
                 engine.ctx().install(|| {
                     let perm =
@@ -307,7 +307,6 @@ pub struct SimulationBuilder {
     thermostat: Thermostat,
     reorder: bool,
     strategy_fallback: bool,
-    parallel_neighbor: Option<bool>,
     metrics: bool,
     fused: bool,
     simd: bool,
@@ -330,7 +329,6 @@ impl SimulationBuilder {
             thermostat: Thermostat::None,
             reorder: false,
             strategy_fallback: true,
-            parallel_neighbor: None,
             metrics: false,
             fused: true,
             simd: true,
@@ -481,15 +479,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Overrides whether neighbor-list rebuilds run on the thread pool
-    /// (default: parallel iff `threads > 1`). The parallel build is bitwise
-    /// identical to the serial one, so this is a performance knob only —
-    /// trajectories never depend on it.
-    pub fn parallel_neighbor(mut self, on: bool) -> Self {
-        self.parallel_neighbor = Some(on);
-        self
-    }
-
     /// Builds the simulation: generates the system, initializes velocities,
     /// builds neighbor structures and computes the initial forces.
     pub fn build(self) -> Result<Simulation, EngineError> {
@@ -514,9 +503,6 @@ impl SimulationBuilder {
         } else {
             ForceEngine::new(&system, potential, self.strategy, self.threads, self.skin)?
         };
-        if let Some(on) = self.parallel_neighbor {
-            engine.set_parallel_list(on);
-        }
         if self.metrics {
             engine.enable_metrics();
         }
@@ -744,8 +730,7 @@ mod tests {
     fn strategy_counters_agree_on_the_contributing_pair_count() {
         // One initial force computation (2 sweeps), atoms at rest, so every
         // strategy sees the identical set of contributing pairs:
-        // CS locks once per pair, RC revisits each pair once, and striped
-        // locks take one base acquisition per pair plus one per crossing.
+        // CS locks once per pair and RC revisits each pair once.
         let build = |strategy| {
             Simulation::builder(LatticeSpec::bcc_fe(5))
                 .potential(AnalyticEam::fe())
@@ -761,13 +746,6 @@ mod tests {
 
         let rc = build(StrategyKind::Redundant);
         assert_eq!(rc.metrics().unwrap().scatter.duplicate_pairs.get(), pairs);
-
-        let locks = build(StrategyKind::Locks);
-        let sc = &locks.metrics().unwrap().scatter;
-        assert_eq!(
-            sc.lock_acquisitions.get(),
-            pairs + sc.lock_crossings.get()
-        );
 
         let sap = build(StrategyKind::Privatized);
         let sc = &sap.metrics().unwrap().scatter;

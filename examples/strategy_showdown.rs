@@ -24,9 +24,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         StrategyKind::Sdc { dims: 2 },
         StrategyKind::Sdc { dims: 3 },
         StrategyKind::Critical,
-        StrategyKind::Atomic,
-        StrategyKind::Locks,
-        StrategyKind::LocalWrite,
         StrategyKind::Privatized,
         StrategyKind::Redundant,
     ];

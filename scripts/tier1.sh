@@ -13,46 +13,47 @@
 #      them — this job pins that explicitly so a profile tweak cannot
 #      silently turn them off)
 #   5. thread-matrix test job     (re-runs the determinism-sensitive crates
-#      under RAYON_NUM_THREADS=2 and =4, so the global-pool default thread
-#      count cannot mask a parallel neighbor-build or scatter divergence;
-#      then smoke-runs the neighbor_build bench in release, whose setup
-#      asserts that 1- and 2-worker list builds of the 35,152-atom
-#      reference box give the same CSR)
+#      once; their tests pin their thread counts (1 to 8) themselves, so a
+#      parallel neighbor-build or scatter divergence between thread counts
+#      fails them; then smoke-runs the neighbor_build bench in release,
+#      whose setup asserts that 1- and 2-worker list builds of the
+#      35,152-atom reference box give the same CSR)
 #   6. metrics regression gate    (short metered mdrun, diffed against the
 #      checked-in golden report; counters must match, timings may only
 #      grow within a deliberately generous tolerance)
 #   7. fused-path conformance     (the same short metered mdrun on the
 #      reference and the fused EAM paths; every counter must match
 #      *exactly* — the fused path may only change how fast the physics
-#      runs, never what it does — plus the force-consistency suite under
-#      RAYON_NUM_THREADS=2 and =4)
+#      runs, never what it does — plus the force-consistency suite, which
+#      pins 1 and 3 threads itself)
 #   8. load-balance gate          (a balanced metered mdrun against the
 #      plain run of the plan the search deterministically picks for the
 #      gate case — sdc1d on the 9³ box, fewest barriers wins — with every
 #      counter matching *exactly*: the balancer may only reorder and
 #      re-split, never change the physics or the scatter bookkeeping;
-#      plus the non-uniform-density conformance suite under
-#      RAYON_NUM_THREADS=2 and =4)
+#      plus the non-uniform-density conformance suite, which pins 1, 2, 4
+#      and 8 threads itself)
 #   9. mdserve chaos gate         (boots the job server, hammers it with a
 #      concurrent client storm, then kill -9s it with jobs in flight and
 #      restarts it on the same state directory: the journal replay must
 #      re-queue the interrupted work and every job accepted before the
 #      kill must complete from its checkpoint — zero accepted jobs lost)
 #  10. task-graph gate            (the barrier-free scatter: conformance +
-#      determinism battery under RAYON_NUM_THREADS=2 and =4, then an A/B
-#      metered mdrun of taskgraph-vs-barriered SDC on the carved-void case
-#      with every physics counter matching exactly — only the scheduling
-#      regime, and therefore the scatter.* counters, may differ)
+#      determinism battery, which pins 1, 2, 4 and 8 threads and compares
+#      against barriered SDC bitwise, then an A/B metered mdrun of
+#      taskgraph-vs-barriered SDC on the carved-void case with every
+#      physics counter matching exactly — only the scheduling regime, and
+#      therefore the scatter.* counters, may differ)
 #  11. shard gate                 (the peer-mesh halo-exchange over binary
 #      wire frames: the conformance battery, the wire-codec fuzz and the
-#      SIGKILL/resume chaos test under RAYON_NUM_THREADS=2 and =4, then an
-#      A/B metered mdrun of a 2-shard process-backend run against the
-#      unsharded engine — the physics counters must match exactly;
-#      slabbing may only change where the work runs)
+#      SIGKILL/resume chaos test, which pin 1 and 2 threads per shard
+#      themselves, then an A/B metered mdrun of a 2-shard process-backend
+#      run against the unsharded engine — the physics counters must match
+#      exactly; slabbing may only change where the work runs)
 #  12. SIMD gate                  (the lane-batched fused EAM kernels: the
-#      conformance battery under RAYON_NUM_THREADS=2 and =4, the same
-#      battery in release so the silent `UniformSpline::locate` clamp is
-#      live, a MD_SIMD_SCALAR=1 leg so the runtime scalar fallback stays
+#      conformance battery, which pins 1, 2, 4 and 8 threads itself, the
+#      same battery in release so the silent `UniformSpline::locate` clamp
+#      is live, a MD_SIMD_SCALAR=1 leg so the runtime scalar fallback stays
 #      conformant on any host, then an A/B metered mdrun of SIMD-vs-scalar
 #      fused with every physics counter matching exactly — the batched
 #      kernels may only change how fast the splines evaluate, never what
@@ -73,10 +74,7 @@ echo "==> [4/12] debug-assertions test job"
 RUSTFLAGS="-C debug-assertions=on" cargo test --workspace -q --profile dev
 
 echo "==> [5/12] thread-matrix test job"
-for t in 2 4; do
-  echo "    RAYON_NUM_THREADS=$t"
-  RAYON_NUM_THREADS="$t" cargo test -q -p md-neighbor -p sdc-core -p sdc-md
-done
+cargo test -q -p md-neighbor -p sdc-core -p sdc-md
 echo "    neighbor_build bench, one run each (release)"
 cargo test --release -q -p sdc-bench --bench neighbor_build
 
@@ -101,10 +99,8 @@ cargo run -q -p sdc-bench --release --bin mdrun -- \
 cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$ref" "$fus" --tol 1.0 --time-tol 50
 rm -f "$ref" "$fus"
-for t in 2 4; do
-  echo "    force-consistency suite, RAYON_NUM_THREADS=$t"
-  RAYON_NUM_THREADS="$t" cargo test -q --test force_consistency
-done
+echo "    force-consistency suite"
+cargo test -q --test force_consistency
 
 echo "==> [8/12] load-balance gate"
 def="$(mktemp /tmp/tier1_default.XXXXXX.json)"
@@ -118,10 +114,8 @@ cargo run -q -p sdc-bench --release --bin mdrun -- \
 cargo run -q -p sdc-bench --release --bin metrics_diff -- \
   "$def" "$bal" --tol 1.0 --time-tol 50
 rm -f "$def" "$bal"
-for t in 2 4; do
-  echo "    load-balance suite, RAYON_NUM_THREADS=$t"
-  RAYON_NUM_THREADS="$t" cargo test -q --test load_balance
-done
+echo "    load-balance suite"
+cargo test -q --test load_balance
 
 echo "==> [9/12] mdserve chaos gate (client storm + kill-and-restart resume)"
 sd="$(mktemp -d /tmp/tier1_mdserve.XXXXXX)"
@@ -156,10 +150,8 @@ grep -q "re-queued" "$sd/serve2.log" || { echo "restart did not replay the journ
 rm -rf "$sd"
 
 echo "==> [10/12] task-graph gate (conformance + determinism + A/B vs barriered SDC)"
-for t in 2 4; do
-  echo "    taskgraph battery, RAYON_NUM_THREADS=$t"
-  RAYON_NUM_THREADS="$t" cargo test -q --test taskgraph_conformance
-done
+echo "    taskgraph battery"
+cargo test -q --test taskgraph_conformance
 sdc="$(mktemp /tmp/tier1_sdc.XXXXXX.json)"
 tg="$(mktemp /tmp/tier1_taskgraph.XXXXXX.json)"
 cargo run -q -p sdc-bench --release --bin mdrun -- \
@@ -175,11 +167,9 @@ rm -f "$sdc" "$tg"
 echo "==> [11/12] shard gate (conformance battery + codec fuzz + chaos + A/B leg)"
 # The conformance battery, the wire-codec fuzz and the SIGKILL/resume
 # chaos test all run the one binary wire codec.
-for t in 2 4; do
-  echo "    shard battery, RAYON_NUM_THREADS=$t"
-  RAYON_NUM_THREADS="$t" cargo test -q --test shard_conformance
-  RAYON_NUM_THREADS="$t" cargo test -q -p md-shard --test codec_fuzz --test process_chaos
-done
+echo "    shard battery"
+cargo test -q --test shard_conformance
+cargo test -q -p md-shard --test codec_fuzz --test process_chaos
 # The process-backend smoke: mdrun needs the worker binary next to it.
 cargo build -q --release -p md-shard
 flat="$(mktemp /tmp/tier1_flat.XXXXXX.json)"
@@ -198,10 +188,8 @@ cargo run -q -p sdc-bench --release --bin metrics_diff -- \
 rm -f "$flat" "$shrd"
 
 echo "==> [12/12] SIMD gate (conformance battery + scalar-fallback leg + A/B vs scalar fused)"
-for t in 2 4; do
-  echo "    SIMD battery, RAYON_NUM_THREADS=$t"
-  RAYON_NUM_THREADS="$t" cargo test -q --test simd_conformance
-done
+echo "    SIMD battery"
+cargo test -q --test simd_conformance
 echo "    release-profile battery (silent spline clamp live)"
 cargo test -q --release --test simd_conformance
 echo "    runtime scalar-fallback leg (MD_SIMD_SCALAR=1)"

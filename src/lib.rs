@@ -13,7 +13,7 @@
 //!   spline-tabulated EAM, and Lennard-Jones / Morse pair potentials;
 //! * [`core`] — the paper's contribution: **Spatial Decomposition Coloring**
 //!   plus the baseline strategies it is compared against (critical section,
-//!   atomics, share-array privatization, redundant computation);
+//!   share-array privatization, redundant computation);
 //! * [`sim`] — a complete MD engine (three-phase EAM forces, velocity
 //!   Verlet, thermostats, observables, phase-resolved timing);
 //! * [`perfmodel`] — a calibrated multicore cost model that regenerates the

@@ -20,18 +20,7 @@ fn all_strategies_agree_after_a_short_run() {
     // 17³ cells: large enough that every color class holds several
     // subdomains, so SDC's parallelism is actually exercised.
     let mut reference: Option<f64> = None;
-    for strategy in [
-        StrategyKind::Serial,
-        StrategyKind::Sdc { dims: 1 },
-        StrategyKind::Sdc { dims: 2 },
-        StrategyKind::Sdc { dims: 3 },
-        StrategyKind::Critical,
-        StrategyKind::Atomic,
-        StrategyKind::Locks,
-        StrategyKind::LocalWrite,
-        StrategyKind::Privatized,
-        StrategyKind::Redundant,
-    ] {
+    for strategy in StrategyKind::all() {
         let threads = if strategy == StrategyKind::Serial { 1 } else { 3 };
         let mut sim = fe_sim(strategy, threads, 17);
         sim.run(5);
@@ -54,8 +43,8 @@ fn deterministic_strategies_reproduce_trajectories_across_thread_counts() {
         StrategyKind::Redundant,
     ] {
         // 1 thread takes the serial list-build path, 4 threads the parallel
-        // one (the builder default) — so this also pins that the parallel
-        // list build never perturbs a trajectory.
+        // one — so this also pins that the parallel list build never
+        // perturbs a trajectory.
         let mut one = fe_sim(strategy, 1, 17);
         let mut four = fe_sim(strategy, 4, 17);
         one.run(5);
@@ -91,26 +80,24 @@ fn deterministic_strategies_reproduce_trajectories_across_thread_counts() {
 
 #[test]
 fn parallel_and_serial_list_builds_give_identical_trajectories() {
-    // Same seed, same thread count, same strategy — only the list-build
-    // path differs. A melt hot enough to force several rebuilds (and, with
-    // reorder on, several parallel permutation applications) must stay
-    // bitwise identical.
-    let build = |parallel: bool| {
+    // One thread takes the serial list build and reorder permutation, four
+    // threads the parallel ones; SDC itself is thread-count invariant, so
+    // only the build path differs. A melt hot enough to force several
+    // rebuilds (and, with reorder on, several permutation applications)
+    // must stay bitwise identical.
+    let build = |threads: usize| {
         Simulation::builder(LatticeSpec::bcc_fe(17))
             .potential(AnalyticEam::fe())
             .strategy(StrategyKind::Sdc { dims: 2 })
-            .threads(4)
+            .threads(threads)
             .temperature(1200.0)
             .seed(99)
             .reorder(true)
-            .parallel_neighbor(parallel)
             .build()
             .expect("buildable configuration")
     };
-    let mut serial_list = build(false);
-    let mut parallel_list = build(true);
-    assert!(!serial_list.engine().parallel_list());
-    assert!(parallel_list.engine().parallel_list());
+    let mut serial_list = build(1);
+    let mut parallel_list = build(4);
     serial_list.run(40);
     parallel_list.run(40);
     assert!(

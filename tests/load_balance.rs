@@ -77,9 +77,6 @@ fn every_strategy_matches_serial_on_the_carved_void() {
         StrategyKind::TaskGraph { dims: 2 },
         StrategyKind::TaskGraph { dims: 3 },
         StrategyKind::Critical,
-        StrategyKind::Atomic,
-        StrategyKind::Locks,
-        StrategyKind::LocalWrite,
         StrategyKind::Privatized,
         StrategyKind::Redundant,
     ];

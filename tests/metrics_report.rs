@@ -72,7 +72,6 @@ fn report_schema_is_golden() {
         keys(doc.path("scatter").unwrap()),
         [
             "lock_acquisitions",
-            "lock_crossings",
             "merges",
             "merge_seconds",
             "private_bytes",

@@ -139,19 +139,19 @@ proptest! {
         let plan = SdcPlan::build(&b, &pos, DecompositionConfig::new(3, cutoff + 0.5)).unwrap();
         plan.validate_footprints(nl.csr()).map_err(TestCaseError::fail)?;
 
-        let kernel = |i: usize, j: usize| {
+        let kernel = |_: usize, i: usize, j: usize| {
             let r2 = b.distance_sq(pos[i], pos[j]);
             (r2 < cutoff * cutoff).then(|| PairTerm::symmetric(1.0 / (1.0 + r2)))
         };
         let mut serial = vec![0.0f64; n_atoms];
         let ctx1 = ParallelContext::new(1);
         ScatterExec { ctx: &ctx1, half: nl.csr(), full: None, plan: None,
-            localwrite: None, metrics: None, sap: None, taskgraph: None }
+            metrics: None, sap: None, taskgraph: None }
             .run(StrategyKind::Serial, &mut serial, &kernel);
         let ctx = ParallelContext::new(4);
         let mut par = vec![0.0f64; n_atoms];
         ScatterExec { ctx: &ctx, half: nl.csr(), full: None, plan: Some(&plan),
-            localwrite: None, metrics: None, sap: None, taskgraph: None }
+            metrics: None, sap: None, taskgraph: None }
             .run(StrategyKind::Sdc { dims: 3 }, &mut par, &kernel);
         for (k, (a, c)) in serial.iter().zip(&par).enumerate() {
             prop_assert!((a - c).abs() < 1e-12, "atom {k}: {a} vs {c}");

@@ -16,8 +16,7 @@
 //!    sweep's color order. Both stay within 1e-10 of the serial oracle.
 //! 3. **Stress/soak**: a 500-step melt with mid-run rebuilds and a
 //!    hair-trigger rebalance threshold loses no task completions, and the
-//!    `DowngradeEvent` fallback to barriered SDC fires cleanly when the
-//!    pool cannot be built.
+//!    balancer calibrates its pair cost from the graph's task sweeps.
 
 use md_geometry::{LatticeSpec, SimBox, Vec3};
 use md_neighbor::{NeighborList, VerletConfig};
@@ -28,15 +27,6 @@ use sdc_core::{DecompositionConfig, SdcPlan, TaskGraph};
 use std::sync::Arc;
 
 const FE_MASS: f64 = 55.845;
-
-/// `inject_pool_failure` is a process-global consumed-on-next-build hook;
-/// serialize every test that constructs a taskgraph pool so the injection
-/// cannot be consumed by an unrelated build in a sibling test thread.
-static POOL_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn pool_test_guard() -> std::sync::MutexGuard<'static, ()> {
-    POOL_TESTS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The carved-void workload of `tests/load_balance.rs`: a bcc iron crystal
 /// with a sphere of radius 0.2·L removed from one octant.
@@ -141,7 +131,6 @@ fn taskgraph_trajectory(
     threads: usize,
     steps: usize,
 ) -> (Vec<Vec3>, Vec<Vec3>) {
-    let _g = pool_test_guard();
     let mut sim = Simulation::from_system(system.clone())
         .potential_choice(fe())
         .strategy(StrategyKind::TaskGraph { dims })
@@ -168,17 +157,9 @@ fn taskgraph_trajectories_are_bitwise_identical_across_thread_counts() {
     // between every overlapping pair), so the trajectory must not depend
     // on the worker count or on scheduling noise between repeated runs.
     let system = void_system(9);
-    let mut thread_counts = vec![2usize, 4, 8];
-    if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(t) = v.parse::<usize>() {
-            if t >= 1 {
-                thread_counts.push(t);
-            }
-        }
-    }
     for dims in [2usize, 3] {
         let reference = taskgraph_trajectory(&system, dims, 1, 3);
-        for &threads in &thread_counts {
+        for threads in [2usize, 4, 8] {
             let got = taskgraph_trajectory(&system, dims, threads, 3);
             assert_eq!(reference.0, got.0, "positions differ at t{threads} d{dims}");
             assert_eq!(reference.1, got.1, "velocities differ at t{threads} d{dims}");
@@ -251,7 +232,6 @@ fn bits(vs: &[Vec3]) -> Vec<[u64; 3]> {
 
 #[test]
 fn taskgraph_equals_barriered_sdc_bitwise_on_melt_void_and_impact() {
-    let _g = pool_test_guard();
     for workload in [Workload::Melt, Workload::Void, Workload::Impact] {
         let serial = battery_sim(workload, StrategyKind::Serial, 1);
         for threads in [1usize, 2, 4, 8] {
@@ -286,7 +266,6 @@ fn taskgraph_equals_barriered_sdc_bitwise_on_melt_void_and_impact() {
 
 #[test]
 fn five_hundred_step_melt_loses_no_task_completions() {
-    let _g = pool_test_guard();
     // Hot enough to force many neighbor rebuilds; the hair-trigger replan
     // threshold makes the balancer re-search at essentially every rebuild.
     let mut sim = Simulation::from_system(void_system(9))
@@ -347,6 +326,12 @@ fn five_hundred_step_melt_loses_no_task_completions() {
     // The balancer stayed live throughout, and any rebalance it adopted
     // moved between plan-backed strategies only.
     assert!(sim.engine().plan_choice().is_some());
+    // The graph's task sweeps fed the pair-cost calibration at the rebuilds.
+    assert_ne!(
+        sim.engine().calibrated_pair_cost(),
+        Some(BalanceConfig::default().machine.pair_cost),
+        "the balancer never calibrated under the task graph"
+    );
     for ev in sim.rebalances() {
         assert!(ev.from.plan_dims().is_some() && ev.to.plan_dims().is_some());
     }
@@ -356,32 +341,4 @@ fn five_hundred_step_melt_loses_no_task_completions() {
         .forces()
         .iter()
         .all(|f| f.norm().is_finite()));
-}
-
-#[test]
-fn pool_construction_failure_downgrades_to_barriered_sdc() {
-    let _g = pool_test_guard();
-    sdc_core::taskgraph::inject_pool_failure(true);
-    let mut sim = Simulation::from_system(void_system(9))
-        .potential_choice(fe())
-        .strategy(StrategyKind::TaskGraph { dims: 2 })
-        .threads(4)
-        .temperature(300.0)
-        .seed(5)
-        .metrics(true)
-        .build()
-        .expect("the fallback must keep construction alive");
-    assert_eq!(sim.engine().strategy(), StrategyKind::Sdc { dims: 2 });
-    let downgrade = &sim.downgrades()[0];
-    assert_eq!(downgrade.from, StrategyKind::TaskGraph { dims: 2 });
-    assert_eq!(downgrade.to, StrategyKind::Sdc { dims: 2 });
-    assert!(downgrade.reason.contains("pool"));
-    // The downgraded engine runs the barriered reference: color barriers
-    // tick, no graph tasks do, and rebuilds never resurrect the dead pool.
-    sim.run(3);
-    assert_eq!(sim.engine().strategy(), StrategyKind::Sdc { dims: 2 });
-    let m = sim.metrics().expect("metrics on");
-    assert!(m.scatter.color_barriers.get() > 0);
-    assert_eq!(m.scatter.tasks.get(), 0);
-    assert!(sim.system().forces().iter().all(|f| f.norm().is_finite()));
 }
